@@ -54,7 +54,7 @@ type DistReport struct {
 
 // RunDist measures coordinator throughput at each worker count (default
 // 1/2/4) over a DFS slice of the Roshi-3 space, pinning every run's
-// outcome digest against the sequential engine. slice <= 0 uses
+// outcome digest against a one-worker in-process run. slice <= 0 uses
 // DefaultDistSlice.
 func RunDist(slice int, workers []int) (*DistReport, error) {
 	if slice <= 0 {

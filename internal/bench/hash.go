@@ -30,7 +30,8 @@ import (
 // log's tail (restore the shared prefix, replay each permutation of the
 // final three events, checking every suffix depth) — and the pass is
 // timed three ways: replay only (baseline), replay + checks with
-// incremental hashing, and replay + checks with FullSnapshotHashing.
+// incremental hashing, and replay + checks with full hashing
+// (replica.Cluster.SetFullHashing).
 // Subtracting the baseline isolates the snapshot+hash cost from apply
 // and restore work that both hashing modes pay identically.
 //
@@ -342,7 +343,7 @@ func RunHash(slice int) (*HashReport, error) {
 }
 
 // lockstepDigestParity replays the trigger on two clusters — incremental
-// and FullSnapshotHashing — asserting byte-identical cluster digests at
+// and full hashing — asserting byte-identical cluster digests at
 // every frontier. This is the soundness pin the micro numbers rest on:
 // the two modes race the exact same function.
 func lockstepDigestParity(scenario runner.Scenario, trigger []event.ID) error {
@@ -396,17 +397,26 @@ func hashEngineParity(bug *bugs.Benchmark, slice int) (*HashEngine, error) {
 		if err != nil {
 			return nil, err
 		}
+		if full {
+			newCluster := scenario.NewCluster
+			scenario.NewCluster = func() (*replica.Cluster, error) {
+				c, err := newCluster()
+				if err == nil {
+					c.SetFullHashing(true)
+				}
+				return c, err
+			}
+		}
 		reg := telemetry.New()
 		sigs := make(map[string]struct{})
 		start := time.Now()
 		res, err := runner.Run(scenario, runner.Config{
-			Mode:                runner.ModeDFS,
-			Workers:             1,
-			MaxInterleavings:    slice,
-			PrefixCacheBytes:    hashEngineCacheBytes,
-			SubsumptionTable:    hashEngineTableBytes,
-			FullSnapshotHashing: full,
-			Telemetry:           reg,
+			Mode:             runner.ModeDFS,
+			Workers:          1,
+			MaxInterleavings: slice,
+			PrefixCacheBytes: hashEngineCacheBytes,
+			SubsumptionTable: hashEngineTableBytes,
+			Telemetry:        reg,
 			OnOutcome: func(o *runner.Outcome) {
 				sigs[runner.OutcomeSignature(o)] = struct{}{}
 			},

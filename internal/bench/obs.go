@@ -106,7 +106,7 @@ func RunObs(slice int) (*ObsReport, error) {
 	return report, nil
 }
 
-// runObsLocal replays the slice through the sequential engine, with or
+// runObsLocal replays the slice through a one-worker pool, with or
 // without a telemetry registry attached.
 func runObsLocal(bug *bugs.Benchmark, slice int, reg *telemetry.Registry) (*ObsRun, error) {
 	scenario, err := bug.Build()

@@ -43,7 +43,7 @@ func fuzzExplore(t *testing.T, s runner.Scenario, workers int) ([]string, *runne
 
 // TestFuzzGenerationParityAllSubjects is the PR's acceptance pin: for
 // every evaluation subject, running the generation-batched fuzzer on the
-// eight-worker pool must reproduce the sequential engine exactly — the
+// eight-worker pool must reproduce the one-worker run exactly — the
 // same corpus trajectory digest (admission order and all), the same
 // generation and corpus counters, the same deduplicated
 // outcome-signature set, and the same explored count. The generation

@@ -101,23 +101,17 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 	notDistributed := map[string]bool{
 		// Per-process or order-dependent machinery the distributed path
 		// deliberately replaces or does not (yet) ship to workers.
-		"Workers":             true, // pool parallelism — replaced by worker fleet
-		"LiveWorkers":         true, // live replay path is not distributed
-		"LiveGates":           true,
-		"Store":               true, // datalog budget experiment, local only
-		"ConstraintPoll":      true, // dynamic re-pruning is coordinator-local
-		"PollEvery":           true,
-		"Deadline":            true, // job lifetime is lease-managed instead
-		"RetryBackoff":        true, // workers use the runner default
-		"Faults":              true, // fault schedules not distributed
-		"MaxExploredKeys":     true, // dedup owned by the journal
-		"PrefixCacheBytes":    true, // per-worker accelerator, not spec-driven
-		"PrefixSnapshotEvery": true,
-		// Hashing-strategy escape hatches: results are byte-identical with
-		// either setting, so distributing them could never change a job's
-		// outcome — workers always run the (default) incremental path.
-		"FullSnapshotHashing": true,
-		"NoPrefixDeltas":      true,
+		"Workers":          true, // pool parallelism — replaced by worker fleet
+		"LiveWorkers":      true, // live replay path is not distributed
+		"LiveGates":        true,
+		"Store":            true, // datalog budget experiment, local only
+		"ConstraintPoll":   true, // dynamic re-pruning is coordinator-local
+		"PollEvery":        true,
+		"Deadline":         true, // job lifetime is lease-managed instead
+		"RetryBackoff":     true, // workers use the runner default
+		"Faults":           true, // fault schedules not distributed
+		"MaxExploredKeys":  true, // dedup owned by the journal
+		"PrefixCacheBytes": true, // in-process accelerator, not spec-driven
 	}
 
 	tp := reflect.TypeOf(runner.Config{})

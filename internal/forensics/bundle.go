@@ -9,7 +9,7 @@
 // subcommand renders a bundle as a causal narrative (explain.go).
 //
 // The schema is deliberately flat and engine-agnostic: bundles from the
-// sequential engine, the worker pool, live replay, and the distributed
+// worker pool (checkpointed or live replay) and the distributed
 // coordinator are indistinguishable.
 package forensics
 

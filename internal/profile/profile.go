@@ -76,9 +76,16 @@ func (p *Profiler) Registry() *telemetry.Registry {
 }
 
 // Wrap instruments a replica state; all resource flows through the state
-// are accounted to the profiler.
+// are accounted to the profiler. A state that implements replica.Versioned
+// stays Versioned through the wrapper, so the cluster's version-keyed
+// snapshot and fingerprint caches keep working; one that does not is not
+// made to claim it.
 func (p *Profiler) Wrap(inner replica.State) replica.State {
-	return &profiledState{inner: inner, p: p}
+	ps := &profiledState{inner: inner, p: p}
+	if v, ok := inner.(replica.Versioned); ok {
+		return &profiledVersioned{profiledState: ps, v: v}
+	}
+	return ps
 }
 
 // OnOutcome is the runner hook counting per-interleaving outcomes.
@@ -155,7 +162,18 @@ type profiledState struct {
 	p     *Profiler
 }
 
-var _ replica.State = (*profiledState)(nil)
+// profiledVersioned is a profiledState whose inner state is Versioned.
+type profiledVersioned struct {
+	*profiledState
+	v replica.Versioned
+}
+
+func (s *profiledVersioned) StateVersion() uint64 { return s.v.StateVersion() }
+
+var (
+	_ replica.State     = (*profiledState)(nil)
+	_ replica.Versioned = (*profiledVersioned)(nil)
+)
 
 func (s *profiledState) Apply(op replica.Op) (string, error) {
 	s.p.opCounter(op.Name).Inc()

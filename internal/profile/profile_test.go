@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -12,13 +13,25 @@ import (
 )
 
 // profiledScenario builds a Roshi workload whose replicas are wrapped by
-// the profiler.
+// the profiler (unwrapped when p is nil).
 func profiledScenario(t *testing.T, p *Profiler) runner.Scenario {
+	t.Helper()
+	return wrappedScenario(t, func(st replica.State) replica.State {
+		if p == nil {
+			return st
+		}
+		return p.Wrap(st)
+	})
+}
+
+// wrappedScenario builds the Roshi workload with every replica state
+// passed through wrap.
+func wrappedScenario(t *testing.T, wrap func(replica.State) replica.State) runner.Scenario {
 	t.Helper()
 	newCluster := func() (*replica.Cluster, error) {
 		return replica.NewCluster(map[event.ReplicaID]replica.State{
-			"A": p.Wrap(roshi.New(roshi.Flags{})),
-			"B": p.Wrap(roshi.New(roshi.Flags{})),
+			"A": wrap(roshi.New(roshi.Flags{})),
+			"B": wrap(roshi.New(roshi.Flags{})),
 		}), nil
 	}
 	cluster, err := newCluster()
@@ -159,5 +172,54 @@ func TestProfilerSeesOrderDependentCost(t *testing.T) {
 
 	if heavyBytes <= leanBytes {
 		t.Fatalf("expected order-dependent sync cost: heavy=%d lean=%d", heavyBytes, leanBytes)
+	}
+}
+
+// unversioned hides a state's replica.Versioned implementation: only the
+// State methods are promoted.
+type unversioned struct{ replica.State }
+
+// TestProfilerWrapKeepsVersioned: Wrap forwards replica.Versioned exactly
+// when the inner state implements it, so a profiled run keeps the
+// cluster's version-keyed caches — same outcome stream as an unprofiled
+// run, and fewer state serializations than a profiled run whose states
+// hide their versions.
+func TestProfilerWrapKeepsVersioned(t *testing.T) {
+	p := New()
+	if _, ok := p.Wrap(roshi.New(roshi.Flags{})).(replica.Versioned); !ok {
+		t.Fatal("Wrap of a versioned state dropped replica.Versioned")
+	}
+	if _, ok := p.Wrap(unversioned{roshi.New(roshi.Flags{})}).(replica.Versioned); ok {
+		t.Fatal("Wrap of an unversioned state claims replica.Versioned")
+	}
+
+	run := func(s runner.Scenario) string {
+		t.Helper()
+		var outcomes []*runner.Outcome
+		if _, err := runner.Run(s, runner.Config{
+			Mode:             runner.ModeDFS,
+			Workers:          1,
+			PrefixCacheBytes: 1 << 20,
+			OnOutcome:        func(o *runner.Outcome) { outcomes = append(outcomes, o) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(outcomes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	plain := run(profiledScenario(t, nil))
+	versioned := New()
+	if got := run(profiledScenario(t, versioned)); got != plain {
+		t.Fatal("profiling changed the Workers-1 outcome stream")
+	}
+	hidden := New()
+	if got := run(wrappedScenario(t, func(st replica.State) replica.State { return hidden.Wrap(unversioned{st}) })); got != plain {
+		t.Fatal("hiding StateVersion changed the Workers-1 outcome stream")
+	}
+	if v, h := versioned.Snapshot().SnapshotBytes, hidden.Snapshot().SnapshotBytes; v >= h {
+		t.Fatalf("versioned profiled run serialized %d snapshot bytes, unversioned %d — the version-keyed caches are off", v, h)
 	}
 }

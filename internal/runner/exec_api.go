@@ -14,10 +14,10 @@ import (
 // the pool engine runs (private cluster, injector clone, prefix cache,
 // retry-with-seeded-jitter) packaged so out-of-process callers — the
 // distributed coordinator's workers foremost — execute interleavings with
-// byte-identical semantics to an in-process Workers=N run. The in-process
-// engines (runSequential, pool.worker) build their environments through
-// the same newWorkerEnv, so there is one definition of "execute an
-// interleaving" in the codebase.
+// byte-identical semantics to an in-process Workers=N run. The pool's
+// checkpointed workers build their environments through the same
+// newWorkerEnv and retry through the same executeWithRetry, so there is
+// one definition of "execute an interleaving" in the codebase.
 
 // normalizeRetry applies Config's documented retry defaults in place:
 // MaxRetries 0 means one retry, negative disables; RetryBackoff defaults
@@ -35,50 +35,61 @@ func normalizeRetry(cfg *Config) {
 	}
 }
 
-// newWorkerEnv builds one worker's private execution environment: fault
-// injector (instrumented when telemetry is on), fresh cluster checkpointed
-// at genesis, executor with optional prefix cache, and the worker's seeded
-// retry-jitter generator. sub is the run's shared subsumption table (nil
-// when disabled) — unlike the cache, all workers consult the same table.
-// Shared by the sequential engine (w == 0), every pool worker, and the
-// exported Executor facade.
-func newWorkerEnv(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeTable) (*executor, *rand.Rand, error) {
-	var inj *fault.Injector
-	if cfg.Faults != nil {
-		var err error
-		inj, err = fault.NewInjector(*cfg.Faults)
-		if err != nil {
-			return nil, nil, fmt.Errorf("runner: %w", err)
-		}
-		tel.instrument(inj)
+// snapshotEvery is the executor's snapshot and frontier-check stride in
+// events. It is always defaultPrefixSnapshotEvery outside tests; a test
+// raises it to isolate the divergence and pivot snapshots.
+var snapshotEvery = defaultPrefixSnapshotEvery
+
+// newInjector clones the run's fault schedule into a private injector
+// (instrumented when telemetry is on); nil without a schedule.
+func newInjector(cfg Config, tel *runTelemetry) (*fault.Injector, error) {
+	if cfg.Faults == nil {
+		return nil, nil
+	}
+	inj, err := fault.NewInjector(*cfg.Faults)
+	if err != nil {
+		return nil, fmt.Errorf("runner: %w", err)
+	}
+	tel.instrument(inj)
+	return inj, nil
+}
+
+// newJitter is worker w's seeded retry-jitter generator: retry timing
+// varies across workers, but which interleavings run and what they
+// compute never depends on it.
+func newJitter(seed int64, w int) *rand.Rand {
+	if w == 0 {
+		return rand.New(rand.NewSource(seed ^ 0x5deece66d))
+	}
+	return rand.New(rand.NewSource(seed ^ 0x5deece66d ^ int64(w+1)<<32))
+}
+
+// newWorkerEnv builds one worker's private checkpointed execution
+// environment: fault injector, fresh cluster checkpointed at genesis, and
+// executor with a prefix cache of cacheBytes (none when non-positive).
+// sub is the run's shared subsumption table (nil when disabled) — unlike
+// the cache, all workers consult the same table. Shared by every pool
+// worker and the exported Executor facade.
+func newWorkerEnv(s Scenario, cfg Config, w int, cacheBytes int64, tel *runTelemetry, sub *subsumeTable) (*executor, error) {
+	inj, err := newInjector(cfg, tel)
+	if err != nil {
+		return nil, err
 	}
 	cluster, err := s.NewCluster()
 	if err != nil {
-		return nil, nil, fmt.Errorf("runner: cluster setup: %w", err)
+		return nil, fmt.Errorf("runner: cluster setup: %w", err)
 	}
-	cluster.SetFullHashing(cfg.FullSnapshotHashing)
 	if err := cluster.Checkpoint(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	exec := &executor{log: s.Log, cluster: cluster, inj: inj, tel: tel, worker: w}
-	if cfg.PrefixCacheBytes > 0 {
+	exec := &executor{log: s.Log, cluster: cluster, inj: inj, tel: tel, worker: w,
+		pivot: -1, sub: sub, subEvery: snapshotEvery}
+	if cacheBytes > 0 {
 		// Private per-worker cache: no cross-worker sharing, so what a
 		// worker computes never depends on what other workers ran.
-		exec.cache = newPrefixCache(cfg.PrefixCacheBytes, cfg.PrefixSnapshotEvery)
-		exec.cache.share = !cfg.NoPrefixDeltas
+		exec.cache = newPrefixCache(cacheBytes, snapshotEvery)
 	}
-	exec.sub = sub
-	exec.subEvery = cfg.PrefixSnapshotEvery
-	if exec.subEvery <= 0 {
-		exec.subEvery = defaultPrefixSnapshotEvery
-	}
-	// Per-worker jitter generator: retry timing varies across workers, but
-	// which interleavings run and what they compute never depends on it.
-	jitter := rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d ^ int64(w+1)<<32))
-	if w == 0 {
-		jitter = rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d))
-	}
-	return exec, jitter, nil
+	return exec, nil
 }
 
 // Executor replays individual interleavings of one scenario with the full
@@ -87,15 +98,15 @@ func newWorkerEnv(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsume
 // distributed worker runs per leased range. Not safe for concurrent use;
 // build one per goroutine.
 type Executor struct {
-	s    Scenario
-	cfg  Config
-	exec *executor
-	jit  *rand.Rand
+	cfg     Config
+	tel     *runTelemetry
+	jit     *rand.Rand
+	attempt attemptFunc
 }
 
 // NewExecutor builds a standalone interleaving executor for the scenario.
 // Honored Config fields: Seed, Faults, MaxRetries, RetryBackoff,
-// InterleavingTimeout, PrefixCacheBytes, PrefixSnapshotEvery,
+// InterleavingTimeout, PrefixCacheBytes (the executor's whole budget),
 // SubsumptionTable (with Mode gating it, lexicographic modes only),
 // Telemetry. With SubsumptionTable > 0 the executor keeps a private
 // visited-frontier table across Execute calls and returns ErrSubsumed for
@@ -118,11 +129,14 @@ func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 	}
 	normalizeRetry(&cfg)
 	tel := newRunTelemetry(cfg.Telemetry)
-	exec, jitter, err := newWorkerEnv(s, cfg, 0, tel, newSubsumption(cfg))
+	exec, err := newWorkerEnv(s, cfg, 0, cfg.PrefixCacheBytes, tel, newSubsumption(cfg))
 	if err != nil {
 		return nil, err
 	}
-	return &Executor{s: s, cfg: cfg, exec: exec, jit: jitter}, nil
+	attempt := func(ctx context.Context, item workItem) (*Outcome, error) {
+		return executeAttempt(ctx, exec, s, cfg, item.il, item.index)
+	}
+	return &Executor{cfg: cfg, tel: tel, jit: newJitter(cfg.Seed, 0), attempt: attempt}, nil
 }
 
 // Execute replays one interleaving at the given global exploration index
@@ -134,8 +148,8 @@ func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 // progress snapshot, mirroring the engines' per-index accounting — this
 // is what a distributed worker's federation reports are built from.
 func (e *Executor) Execute(ctx context.Context, il interleave.Interleaving, index int) (*Outcome, int, error) {
-	e.exec.tel.onExplored()
-	return executeWithRetry(ctx, e.exec, e.s, e.cfg, il, index, e.jit)
+	e.tel.onExplored()
+	return executeWithRetry(ctx, e.cfg, e.tel, e.jit, workItem{index: index, il: il, pivot: -1}, e.attempt)
 }
 
 // NewExplorer builds the exploration iterator the engine would use for

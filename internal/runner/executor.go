@@ -39,7 +39,7 @@ type executor struct {
 	sendFor map[event.ID]event.ID
 	built   bool
 	// tel (nil when telemetry is off) records stage spans; worker is the
-	// pool worker id this executor belongs to (0 for the sequential engine).
+	// pool worker id this executor belongs to.
 	tel    *runTelemetry
 	worker int
 	// cache, when non-nil, is this executor's private prefix-snapshot trie

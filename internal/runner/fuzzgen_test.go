@@ -61,7 +61,7 @@ func TestFuzzFaultArmedBypassesCorpus(t *testing.T) {
 	}
 
 	// Roughly half armed, seeded: the pool must replay the same armed set
-	// and land on the same trajectory as the sequential engine.
+	// and land on the same trajectory at every worker count.
 	half := &fault.Schedule{Seed: 3, Faults: []fault.Fault{
 		{Kind: fault.CrashReplica, Replica: "A", At: 1, Prob: 0.5},
 	}}
@@ -79,8 +79,8 @@ func TestFuzzFaultArmedBypassesCorpus(t *testing.T) {
 	}
 }
 
-// TestFuzzPoolGenerationBarrier pins the pool engine against the
-// sequential engine on the same small workload: identical trajectory,
+// TestFuzzPoolGenerationBarrier pins the pool at several widths against
+// its one-worker run on the same small workload: identical trajectory,
 // counters, and explored count at several worker counts, including a
 // generation size that does not divide the cap (a trailing partial
 // generation that must never evolve).

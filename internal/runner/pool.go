@@ -14,7 +14,8 @@ import (
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
-// This file is the parallel exploration engine. Exploration of an
+// This file is the exploration engine. Every run — Workers 1 or 64,
+// checkpointed or live — goes through this one pool. Exploration of an
 // interleaving space parallelizes cleanly because every interleaving
 // executes against a private cluster that is reset to the pristine
 // checkpoint first: executing interleaving N is a pure function of
@@ -23,21 +24,25 @@ import (
 //
 // Topology: the coordinator (the caller's goroutine) owns the explorer,
 // the dedup set, the journal, the datalog store, and the Result; workers
-// own a private cluster, executor, and fault-injector clone each.
-// Interleavings are pulled from the explorer in its native order, tagged
-// with a stable 1-based index at assignment time, and dispatched over an
-// unbuffered channel; results return on a buffered channel and are parked
-// in a reorder buffer until every lower index has been processed.
+// own a private execution environment each (a cluster, executor, and
+// fault-injector clone on the checkpointed path; a gate-session factory
+// on the live path — see attemptFunc). Interleavings are pulled from the
+// explorer in its native order, tagged with a stable 1-based index at
+// assignment time, and dispatched over an unbuffered channel; results
+// return on a buffered channel and are parked in a reorder buffer until
+// every lower index has been processed.
 //
-// Deterministic regardless of worker count (identical to Workers == 1):
+// Deterministic regardless of worker count — identical to a plain loop
+// that executes the explorer's interleavings one by one in order (the
+// tests' referenceRun):
 //   - which interleavings execute, their indices, and the journal order;
 //   - Outcome delivery order to OnOutcome and to assertions (stateful
-//     assertions see the exact sequential history);
+//     assertions see the exact in-order history);
 //   - Violations, Quarantined, FirstViolation, and — on a completed or
 //     StopOnViolation run — Explored;
 //   - probabilistic fault arming (keyed by index, not by execution order).
 //
-// Best-effort (may differ from a sequential run):
+// Best-effort (may vary between runs):
 //   - Duration, and retry-backoff jitter timing (per-worker generators);
 //   - on StopOnViolation, work past the violating index may already have
 //     executed; its results are discarded, but journal/store entries for
@@ -51,8 +56,8 @@ import (
 // ConstraintPoll re-pruning quiesces the pool: the poll boundary index is
 // dispatched, the coordinator drains every in-flight execution and
 // processes all results, and only then polls and (maybe) regenerates the
-// explorer — a barrier, matching the sequential engine's poll points
-// exactly at the cost of a bubble in the pipeline every PollEvery
+// explorer — a barrier, so the poll points are the same at every worker
+// count, at the cost of a bubble in the pipeline every PollEvery
 // interleavings.
 //
 // ModeFuzz reuses those quiesce mechanics as its generation barrier
@@ -71,6 +76,7 @@ type pool struct {
 	explored *exploredSet
 	pruning  prune.Config
 	maxNew   int
+	workers  int
 
 	workCh  chan workItem
 	resCh   chan workResult
@@ -79,10 +85,9 @@ type pool struct {
 	// tel is nil when telemetry is off; all uses are nil-safe.
 	tel *runTelemetry
 	// cacheGen increments whenever re-pruning regenerates the explorer;
-	// workers compare it before each item and flush their private prefix
-	// caches when it moved, mirroring the sequential engine's
-	// invalidate-on-re-prune. The quiesce barrier guarantees no execution
-	// is in flight while it changes.
+	// checkpointed workers compare it before each attempt and flush their
+	// private prefix caches when it moved. The quiesce barrier guarantees
+	// no execution is in flight while it changes.
 	cacheGen atomic.Uint64
 	// sub is the run's shared subsumption table (nil when disabled).
 	// Unlike the private caches it is flushed directly at the quiesce
@@ -128,10 +133,14 @@ type workResult struct {
 	err      error
 }
 
-// runParallel explores the scenario with a pool of workers, writing into
-// res exactly what the sequential engine would have produced (see the
-// guarantees above).
-func runParallel(ctx context.Context, s Scenario, cfg Config, res *Result, explorer interleave.Explorer, explored *exploredSet, pruning prune.Config, maxNew, workers int, tel *runTelemetry, sub *subsumeTable) error {
+// workerSetup builds worker w's private execution environment and returns
+// how that worker runs one attempt; (*pool).checkpointWorker and
+// (*pool).liveWorker are the two implementations.
+type workerSetup func(p *pool, w int) (attemptFunc, error)
+
+// runPool explores the scenario with a pool of workers, writing into res
+// the in-order result described above.
+func runPool(ctx context.Context, s Scenario, cfg Config, res *Result, explorer interleave.Explorer, explored *exploredSet, pruning prune.Config, maxNew, workers int, tel *runTelemetry, sub *subsumeTable, setup workerSetup) error {
 	wctx, cancelWorkers := context.WithCancel(ctx)
 	defer cancelWorkers()
 	p := &pool{
@@ -143,6 +152,7 @@ func runParallel(ctx context.Context, s Scenario, cfg Config, res *Result, explo
 		explored: explored,
 		pruning:  pruning,
 		maxNew:   maxNew,
+		workers:  workers,
 		tel:      tel,
 		sub:      sub,
 		workCh:   make(chan workItem),
@@ -159,7 +169,7 @@ func runParallel(ctx context.Context, s Scenario, cfg Config, res *Result, explo
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p.worker(wctx, w)
+			p.worker(wctx, w, setup)
 		}(w)
 	}
 	err := p.coordinate()
@@ -177,17 +187,37 @@ func runParallel(ctx context.Context, s Scenario, cfg Config, res *Result, explo
 }
 
 // worker builds its private execution environment and runs interleavings
-// until the work channel closes. Setup failures are fatal for the whole
-// run (mirroring the sequential engine's cluster-setup error), execution
-// failures are per-interleaving results.
-func (p *pool) worker(ctx context.Context, w int) {
-	exec, jitter, err := newWorkerEnv(p.s, p.cfg, w, p.tel, p.sub)
+// through the retry policy until the work channel closes. Setup failures
+// are fatal for the whole run; execution failures are per-interleaving
+// results.
+func (p *pool) worker(ctx context.Context, w int, setup workerSetup) {
+	attempt, err := setup(p, w)
 	if err != nil {
 		p.fatalCh <- err
 		return
 	}
-	var cacheGen uint64
+	jitter := newJitter(p.cfg.Seed, w)
 	for item := range p.workCh {
+		p.tel.setWorker(w, item.index)
+		execSpan := p.tel.span(telemetry.StageExecute, item.index, w)
+		outcome, attempts, err := executeWithRetry(ctx, p.cfg, p.tel, jitter, item, attempt)
+		execSpan.End()
+		p.tel.setWorker(w, 0)
+		p.resCh <- workResult{index: item.index, il: item.il, outcome: outcome, attempts: attempts, err: err}
+	}
+}
+
+// checkpointWorker is the checkpointed path's worker setup: a private
+// cluster and executor whose prefix cache gets an even share of the run's
+// PrefixCacheBytes. Before each attempt it flushes that cache when
+// re-pruning moved the cache generation.
+func (p *pool) checkpointWorker(w int) (attemptFunc, error) {
+	exec, err := newWorkerEnv(p.s, p.cfg, w, splitBudget(p.cfg.PrefixCacheBytes, p.workers), p.tel, p.sub)
+	if err != nil {
+		return nil, err
+	}
+	var cacheGen uint64
+	return func(ctx context.Context, item workItem) (*Outcome, error) {
 		if exec.cache != nil {
 			if g := p.cacheGen.Load(); g != cacheGen {
 				cacheGen = g
@@ -197,14 +227,18 @@ func (p *pool) worker(ctx context.Context, w int) {
 				exec.prevIL = nil
 			}
 		}
-		p.tel.setWorker(w, item.index)
 		exec.pivot = item.pivot
-		execSpan := p.tel.span(telemetry.StageExecute, item.index, w)
-		outcome, attempts, err := executeWithRetry(ctx, exec, p.s, p.cfg, item.il, item.index, jitter)
-		execSpan.End()
-		p.tel.setWorker(w, 0)
-		p.resCh <- workResult{index: item.index, il: item.il, outcome: outcome, attempts: attempts, err: err}
+		return executeAttempt(ctx, exec, p.s, p.cfg, item.il, item.index)
+	}, nil
+}
+
+// splitBudget divides a run-wide byte budget evenly across workers, at
+// least 1 byte each; a non-positive budget (disabled) stays as it is.
+func splitBudget(total int64, workers int) int64 {
+	if total <= 0 {
+		return total
 	}
+	return max(total/int64(workers), 1)
 }
 
 // coordinate is the producer + aggregator loop.
@@ -229,8 +263,8 @@ func (p *pool) coordinate() error {
 			continue
 		}
 		if p.next == nil && p.inflight == 0 {
-			// Mirror the sequential engine: a generation that completed
-			// exactly at the cap still evolves (a partial one never does —
+			// A generation that completed exactly at the cap still
+			// evolves (a partial one never does —
 			// evolveFuzz guards GenerationEnd and Pending).
 			if ge, ok := p.explorer.(generationExplorer); ok {
 				p.evolveFuzz(ge)
@@ -258,8 +292,8 @@ func (p *pool) coordinate() error {
 }
 
 // pull advances the explorer to the next fresh interleaving, assigns its
-// index, and journals/records it — the exact sequential prologue of one
-// loop iteration. It either sets p.next or stops assignment.
+// index, and journals/records it — the in-order prologue of one
+// interleaving. It either sets p.next or stops assignment.
 func (p *pool) pull() error {
 	for {
 		if p.assigned >= p.maxNew {
@@ -319,7 +353,7 @@ func (p *pool) pull() error {
 			if err := p.cfg.Store.Record(il); err != nil {
 				if errors.Is(err, datalog.ErrBudgetExhausted) {
 					// The crashing index counts as explored but never
-					// executes, like the sequential engine's break.
+					// executes.
 					p.res.Crashed = true
 					p.res.CrashErr = err
 					p.noMore = true
@@ -363,9 +397,8 @@ func (p *pool) receive(r workResult) {
 	p.inflight--
 	p.pending[r.index] = r
 	for !p.halted {
-		// Observing the context's death here is the parallel analog of the
-		// sequential loop-top check: results already processed stand,
-		// later ones are discarded.
+		// Observing the context's death here is the in-order cut: results
+		// already processed stand, later ones are discarded.
 		if err := p.ctx.Err(); err != nil {
 			p.res.Interrupted = true
 			p.res.InterruptErr = err
@@ -385,7 +418,7 @@ func (p *pool) receive(r workResult) {
 // process handles one result in index order: quarantine, outcome hooks,
 // assertions, and the stop-on-violation decision. It runs only on the
 // coordinator, so stateful assertions and OnOutcome observers need no
-// locking and see outcomes in exactly the sequential order.
+// locking and see outcomes in exactly the index order.
 func (p *pool) process(r workResult) {
 	if r.err != nil {
 		if p.ctx.Err() != nil {
@@ -398,9 +431,8 @@ func (p *pool) process(r workResult) {
 		}
 		if errors.Is(r.err, ErrSubsumed) {
 			// Skipped by state subsumption: the index stands (journal,
-			// dedup, cap) but there is no outcome to assert on — exactly
-			// the sequential engine's `continue`, which also skips the
-			// poll boundary.
+			// dedup, cap) but there is no outcome to assert on, and a poll
+			// boundary it sits on is skipped.
 			if p.pollWait && r.index == p.pollIdx {
 				p.pollSkip = true
 			}
@@ -409,8 +441,7 @@ func (p *pool) process(r workResult) {
 			return
 		}
 		if p.pollWait && r.index == p.pollIdx {
-			// The sequential engine skips the poll when the boundary
-			// interleaving is quarantined (its `continue` jumps the poll).
+			// A quarantined boundary interleaving skips its poll too.
 			p.pollSkip = true
 		}
 		reportDropped(p.explorer, r.il.Key())
@@ -448,8 +479,8 @@ func (p *pool) process(r workResult) {
 		p.res.FirstViolation = r.index
 	}
 	if violated {
-		// Runs on the coordinator goroutine, in index order, exactly like
-		// the sequential engine — bundle numbering is deterministic.
+		// Runs on the coordinator goroutine, in index order, so bundle
+		// numbering is deterministic.
 		captureForensic(p.s, p.cfg, p.res, r.il, r.index, p.res.Violations)
 	}
 	if violated && p.cfg.StopOnViolation {
@@ -487,8 +518,7 @@ func (p *pool) fuzzBarrier() {
 // evolveFuzz folds a fully-classified generation into the fuzzer's corpus
 // under a StageFuzzEvolve span and publishes the corpus gauges. Children
 // that never executed (assignment crashed mid-generation) leave Pending
-// non-zero; the corpus must not evolve on partial evidence, matching the
-// sequential engine's break-without-evolve.
+// non-zero; the corpus must not evolve on partial evidence.
 func (p *pool) evolveFuzz(ge generationExplorer) {
 	if !ge.GenerationEnd() || ge.Pending() != 0 {
 		return
@@ -501,8 +531,7 @@ func (p *pool) evolveFuzz(ge generationExplorer) {
 
 // poll runs the quiesced ConstraintPoll and regenerates the explorer over
 // the merged pruning config when new constraints arrived. Interleavings
-// the regenerated explorer re-yields are skipped by the dedup set, as in
-// the sequential engine.
+// the regenerated explorer re-yields are skipped by the dedup set.
 func (p *pool) poll() error {
 	p.pollWait = false
 	if p.tel != nil {
@@ -540,14 +569,14 @@ func (p *pool) poll() error {
 	return nil
 }
 
-// finalize settles the Result's accounting to match the sequential
-// engine's view of the same run.
+// finalize settles the Result's accounting to the in-order view of the
+// run.
 func (p *pool) finalize() {
 	res := p.res
 	switch {
 	case p.stopViol:
-		// The sequential engine never looks past the first violation:
-		// truncate to its horizon and drop flags that only later
+		// The in-order run ends at the first violation: truncate to its
+		// horizon and drop flags that only later
 		// (discarded) work could have set.
 		res.Explored = res.FirstViolation
 		res.Exhausted = false

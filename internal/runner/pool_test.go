@@ -2,34 +2,40 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"github.com/er-pi/erpi/internal/fault"
+	"github.com/er-pi/erpi/internal/interleave"
 	"github.com/er-pi/erpi/internal/prune"
 	"github.com/er-pi/erpi/internal/replica"
 )
 
-// TestParallelDeterminismPin is the acceptance pin for the parallel
-// engine: the same scenario + seed at Workers: 1 and Workers: 8 must
-// yield identical Explored counts, violation sets, FirstViolation, and
-// byte-identical outcome streams.
+// TestParallelDeterminismPin is the acceptance pin for the pool: the same
+// scenario + seed at Workers: 1 and Workers: 8 must yield identical
+// Explored counts, violation sets, FirstViolation, and byte-identical
+// outcome streams — all equal to the plain reference loop's.
 func TestParallelDeterminismPin(t *testing.T) {
+	cfg := Config{Mode: ModeERPi, Assertions: []Assertion{municipalityInvariant{}}}
 	run := func(workers int) ([]byte, *Result) {
-		s := townReportScenario(t)
-		return collectOutcomes(t, s, Config{
-			Mode:       ModeERPi,
-			Workers:    workers,
-			Assertions: []Assertion{municipalityInvariant{}},
-		})
+		cfg := cfg
+		cfg.Workers = workers
+		return collectOutcomes(t, townReportScenario(t), cfg)
 	}
+	ref, refRes := referenceRun(t, townReportScenario(t), cfg)
 	seq, seqRes := run(1)
 	par, parRes := run(8)
+	if string(ref) != string(seq) {
+		t.Fatal("Workers: 1 diverged from the reference run's outcome stream")
+	}
 	if string(seq) != string(par) {
 		t.Fatal("Workers: 8 changed the outcome stream")
 	}
+	assertResultsMatch(t, refRes, seqRes)
 	assertResultsMatch(t, seqRes, parRes)
 	if len(seqRes.Violations) == 0 {
 		t.Fatal("pin is vacuous: the scenario must produce violations")
@@ -96,24 +102,24 @@ func TestParallelDeterminismUnderFaults(t *testing.T) {
 }
 
 // TestParallelStopOnViolation: with StopOnViolation, the pool must report
-// the same first violation and truncate Explored to it, discarding any
-// speculative work past that index.
+// the reference loop's first violation and truncate Explored to it,
+// discarding any speculative work past that index.
 func TestParallelStopOnViolation(t *testing.T) {
+	cfg := Config{
+		Mode:            ModeERPi,
+		Assertions:      []Assertion{municipalityInvariant{}},
+		StopOnViolation: true,
+	}
 	run := func(workers int) *Result {
-		s := townReportScenario(t)
-		res, err := Run(s, Config{
-			Mode:            ModeERPi,
-			Workers:         workers,
-			Assertions:      []Assertion{municipalityInvariant{}},
-			StopOnViolation: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := cfg
+		cfg.Workers = workers
+		_, res := collectOutcomes(t, townReportScenario(t), cfg)
 		return res
 	}
+	_, ref := referenceRun(t, townReportScenario(t), cfg)
 	seq := run(1)
 	par := run(8)
+	assertResultsMatch(t, ref, seq)
 	assertResultsMatch(t, seq, par)
 	if len(par.Violations) != 1 {
 		t.Fatalf("violations = %d, want exactly 1 with StopOnViolation", len(par.Violations))
@@ -128,30 +134,30 @@ func TestParallelStopOnViolation(t *testing.T) {
 
 // TestParallelRandMode: ModeRand pulls from one seeded explorer on the
 // coordinator, so the explored orders (and even the shuffle count, absent
-// early stopping) match the sequential engine exactly.
+// early stopping) match the reference loop exactly.
 func TestParallelRandMode(t *testing.T) {
+	cfg := Config{Mode: ModeRand, Seed: 3, MaxInterleavings: 50}
 	run := func(workers int) ([]byte, *Result) {
-		s := townReportScenario(t)
-		return collectOutcomes(t, s, Config{
-			Mode:             ModeRand,
-			Workers:          workers,
-			Seed:             3,
-			MaxInterleavings: 50,
-		})
+		cfg := cfg
+		cfg.Workers = workers
+		return collectOutcomes(t, townReportScenario(t), cfg)
 	}
+	ref, refRes := referenceRun(t, townReportScenario(t), cfg)
 	seq, seqRes := run(1)
 	par, parRes := run(8)
-	if string(seq) != string(par) {
-		t.Fatal("Workers: 8 changed ModeRand's outcome stream")
+	if string(ref) != string(seq) || string(seq) != string(par) {
+		t.Fatal("ModeRand's outcome stream differs between the reference, Workers: 1 and Workers: 8")
 	}
+	assertResultsMatch(t, refRes, seqRes)
 	assertResultsMatch(t, seqRes, parRes)
-	if seqRes.RandShuffles != parRes.RandShuffles {
-		t.Fatalf("shuffles diverged: %d vs %d", seqRes.RandShuffles, parRes.RandShuffles)
+	if refRes.RandShuffles != seqRes.RandShuffles || seqRes.RandShuffles != parRes.RandShuffles {
+		t.Fatalf("shuffles diverged: reference %d, %d vs %d",
+			refRes.RandShuffles, seqRes.RandShuffles, parRes.RandShuffles)
 	}
 }
 
 // TestParallelRepruningParity: the ConstraintPoll quiesce barrier must
-// poll at the same boundaries as the sequential engine, yielding the same
+// poll at the same boundaries at every worker count, yielding the same
 // shrunken exploration.
 func TestParallelRepruningParity(t *testing.T) {
 	run := func(workers int) *Result {
@@ -185,8 +191,7 @@ func TestParallelRepruningParity(t *testing.T) {
 }
 
 // TestParallelCancellation: a context cancelled from the outcome hook
-// stops the pool at exactly the results processed so far, like the
-// sequential engine's loop-top check.
+// stops the pool at exactly the results processed so far.
 func TestParallelCancellation(t *testing.T) {
 	s := townReportScenario(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -214,8 +219,7 @@ func TestParallelCancellation(t *testing.T) {
 }
 
 // TestParallelWorkerSetupFailure: a cluster factory that cannot build a
-// worker's private cluster fails the whole run, mirroring the sequential
-// engine's setup error.
+// worker's private cluster fails the whole run.
 func TestParallelWorkerSetupFailure(t *testing.T) {
 	s := townReportScenario(t)
 	setupErr := errors.New("no replicas available")
@@ -226,8 +230,73 @@ func TestParallelWorkerSetupFailure(t *testing.T) {
 	}
 }
 
-// assertResultsMatch compares every deterministic Result field between a
-// sequential and a parallel run of the same exploration.
+// referenceRun is the independent reference the engine's determinism
+// pins compare against: a plain loop over newExplorer that executes each
+// fresh interleaving with ExecuteOnce and checks the assertions in order —
+// no pool, faults, journal, or accelerators. It honors Mode (except
+// ModeFuzz), Seed, MaxInterleavings, Assertions, and StopOnViolation, and
+// returns the same (outcome stream, Result) pair as collectOutcomes.
+func referenceRun(t *testing.T, s Scenario, cfg Config) ([]byte, *Result) {
+	t.Helper()
+	if cfg.Mode == ModeFuzz || cfg.Faults != nil || cfg.Journal != nil || cfg.Store != nil ||
+		cfg.ConstraintPoll != nil || cfg.PrefixCacheBytes > 0 || cfg.SubsumptionTable > 0 || cfg.LiveWorkers > 0 {
+		t.Fatal("referenceRun models plain replay only")
+	}
+	if cfg.Mode == "" {
+		cfg.Mode = ModeERPi
+	}
+	limit := cfg.MaxInterleavings
+	switch {
+	case limit == 0:
+		limit = DefaultMaxInterleavings
+	case limit < 0:
+		limit = math.MaxInt
+	}
+	explorer, err := newExplorer(s, cfg, s.Pruning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{Scenario: s.Name, Mode: cfg.Mode}
+	var outcomes []*Outcome
+	seen := make(map[string]bool)
+	for res.Explored < limit && !(cfg.StopOnViolation && res.FirstViolation > 0) {
+		il, ok := explorer.Next()
+		if !ok {
+			res.Exhausted = true
+			break
+		}
+		if seen[il.Key()] {
+			continue
+		}
+		seen[il.Key()] = true
+		res.Explored++
+		o, err := ExecuteOnce(s, il)
+		if err != nil {
+			t.Fatalf("reference interleaving #%d: %v", res.Explored, err)
+		}
+		o.Index = res.Explored
+		outcomes = append(outcomes, o)
+		for _, a := range cfg.Assertions {
+			if err := a.Check(o); err != nil {
+				res.Violations = append(res.Violations, Violation{Index: o.Index, Interleaving: il, Assertion: a.Name(), Err: err})
+				if res.FirstViolation == 0 {
+					res.FirstViolation = o.Index
+				}
+			}
+		}
+	}
+	if r, ok := explorer.(*interleave.RandExplorer); ok {
+		res.RandShuffles = r.Shuffles()
+	}
+	raw, err := json.Marshal(outcomes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, res
+}
+
+// assertResultsMatch compares every deterministic Result field between two
+// runs of the same exploration.
 func assertResultsMatch(t *testing.T, seq, par *Result) {
 	t.Helper()
 	if seq.Explored != par.Explored {

@@ -158,8 +158,8 @@ func TestPrefixCacheDeterminismUnderFaults(t *testing.T) {
 }
 
 // TestPrefixCacheRepruningParity: ConstraintPoll re-pruning must flush
-// the cache (sequential engine directly, pool workers via the cache
-// generation), without changing any result.
+// the cache (pool workers via the cache generation), without changing any
+// result.
 func TestPrefixCacheRepruningParity(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		run := func(cacheBytes int64) *Result {
@@ -279,15 +279,16 @@ func TestPrefixCacheEviction(t *testing.T) {
 // lookup lands. The cache must still hit, and the outcome stream must be
 // byte-identical to the cache-off engine.
 func TestPrefixPivotSnapshotPolicy(t *testing.T) {
+	snapshotEvery = 1 << 20
+	t.Cleanup(func() { snapshotEvery = defaultPrefixSnapshotEvery })
 	run := func(cacheBytes int64) ([]byte, *Result, *telemetry.Registry) {
 		s := townReportScenario(t)
 		reg := telemetry.New()
 		raw, res := collectOutcomes(t, s, Config{
-			Mode:                ModeDFS,
-			MaxInterleavings:    400,
-			PrefixCacheBytes:    cacheBytes,
-			PrefixSnapshotEvery: 1 << 20,
-			Telemetry:           reg,
+			Mode:             ModeDFS,
+			MaxInterleavings: 400,
+			PrefixCacheBytes: cacheBytes,
+			Telemetry:        reg,
 		})
 		return raw, res, reg
 	}

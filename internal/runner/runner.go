@@ -163,13 +163,14 @@ type Config struct {
 	// Workers is how many interleavings execute concurrently, each against
 	// its own replica cluster built from Scenario.NewCluster (which must
 	// therefore be safe for concurrent calls when Workers > 1). Zero or
-	// negative means runtime.GOMAXPROCS(0); 1 forces the sequential
-	// engine. Exploration order, violation sets, and FirstViolation are
-	// identical at every worker count — see pool.go for the ordering
-	// guarantees. ModeFuzz explores in generations (whole batches of
-	// mutated children synthesized up front, corpus evolution once per
-	// generation at a pool quiesce barrier), so its corpus trajectory and
-	// signature set are also identical at every worker count.
+	// negative means runtime.GOMAXPROCS(0). Every run goes through the same
+	// worker pool; 1 is a one-worker pool. Exploration order, violation
+	// sets, and FirstViolation are identical at every worker count — see
+	// pool.go for the ordering guarantees. ModeFuzz explores in
+	// generations (whole batches of mutated children synthesized up front,
+	// corpus evolution once per generation at a pool quiesce barrier), so
+	// its corpus trajectory and signature set are also identical at every
+	// worker count.
 	Workers int
 	// LiveWorkers, when > 0, routes exploration through the live replay
 	// path (ExecuteLive semantics: one goroutine per replica re-issues its
@@ -253,16 +254,12 @@ type Config struct {
 	// keeps a private bounded trie of mid-run cluster snapshots keyed by
 	// executed event-prefix, restores the deepest cached prefix of every
 	// interleaving, and replays only the suffix (DESIGN.md §4.9). The
-	// value bounds the cached snapshot bytes per worker. Strictly an
+	// value bounds the cached snapshot bytes of the whole run: it is split
+	// evenly across the workers (at least 1 byte each). Strictly an
 	// accelerator: results are byte-identical with the cache on or off,
 	// and fault-carrying interleavings always fall back to a clean
 	// genesis replay. Zero disables the cache.
 	PrefixCacheBytes int64
-	// PrefixSnapshotEvery is the cache's snapshot insertion stride in
-	// events (default 4): during execution a snapshot is inserted every K
-	// events, plus at the divergence depth against the previous
-	// interleaving.
-	PrefixSnapshotEvery int
 	// SubsumptionTable, when > 0, enables DPOR-style state subsumption
 	// (DESIGN.md §4.12): at snapshot depths the executor hashes the
 	// canonical execution context and skips the rest of any interleaving
@@ -280,20 +277,6 @@ type Config struct {
 	// path. Fault-armed interleavings bypass the table both ways. Zero
 	// disables subsumption.
 	SubsumptionTable int64
-	// FullSnapshotHashing disables the incremental snapshot path
-	// (DESIGN.md §4.15): every CanonicalSnapshot re-serializes and
-	// re-hashes every replica instead of reusing the per-replica
-	// version-keyed caches. The hash DEFINITION is identical either way —
-	// this is a bisection escape hatch, not a different digest — so all
-	// hashes, signatures, and determinism pins are byte-identical with the
-	// flag on or off. Default off (incremental).
-	FullSnapshotHashing bool
-	// NoPrefixDeltas disables delta accounting in the prefix cache: every
-	// snapshot is charged its full logical size instead of sharing clean
-	// replicas' state buffers with neighboring prefixes. Cache contents
-	// and restore semantics are unchanged — only the byte accounting (and
-	// therefore eviction pressure) differs. Default off (deltas on).
-	NoPrefixDeltas bool
 	// Telemetry, when set, receives the run's metrics, live progress, and
 	// per-stage spans (see the telemetry package). Strictly observational:
 	// a run with telemetry attached explores the same interleavings, in
@@ -317,10 +300,12 @@ type Config struct {
 // DefaultMaxInterleavings is the paper's exploration cap.
 const DefaultMaxInterleavings = 10000
 
-// defaultPrefixSnapshotEvery is the default Config.PrefixSnapshotEvery:
-// lexicographic neighbors differ in their last ~e≈2.7 positions on
-// average, so a stride of 4 keeps a usable restore point near the tail
-// of every prefix without snapshotting after every event.
+// defaultPrefixSnapshotEvery is the executor's snapshot stride in events:
+// besides the divergence and pivot depths, a snapshot (prefix cache) or
+// frontier check (subsumption) happens every K events. Lexicographic
+// neighbors differ in their last ~e≈2.7 positions on average, so a stride
+// of 4 keeps a usable restore point near the tail of every prefix without
+// snapshotting after every event.
 const defaultPrefixSnapshotEvery = 4
 
 // Result summarizes one exploration run.
@@ -515,15 +500,11 @@ func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
 	// abandon an interleaving mid-flight).
 	sub := newSubsumption(cfg)
 
-	switch {
-	case live:
-		err = runLive(ctx, s, cfg, res, explorer, explored, pruning, maxNew, workers, tel)
-	case workers > 1:
-		err = runParallel(ctx, s, cfg, res, explorer, explored, pruning, maxNew, workers, tel, sub)
-	default:
-		err = runSequential(ctx, s, cfg, res, explorer, explored, pruning, maxNew, tel, sub)
+	setup := (*pool).checkpointWorker
+	if live {
+		setup = (*pool).liveWorker
 	}
-	if err != nil {
+	if err := runPool(ctx, s, cfg, res, explorer, explored, pruning, maxNew, workers, tel, sub, setup); err != nil {
 		return nil, err
 	}
 	if ge, ok := explorer.(generationExplorer); ok {
@@ -546,179 +527,19 @@ func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runSequential is the one-worker engine: a single cluster and executor
-// driven directly by the explorer. With Workers == 1 this is the exact
-// pre-parallel code path.
-func runSequential(ctx context.Context, s Scenario, cfg Config, res *Result, explorer interleave.Explorer, explored *exploredSet, pruning prune.Config, maxNew int, tel *runTelemetry, sub *subsumeTable) error {
-	// The sequential engine executes on its own goroutine; spans attribute
-	// that work to worker 0, matching a one-worker pool's timeline. Retry
-	// jitter comes from a seeded generator so chaotic runs stay
-	// reproducible end to end.
-	exec, jitter, err := newWorkerEnv(s, cfg, 0, tel, sub)
-	if err != nil {
-		return err
-	}
+// attemptFunc runs one execution attempt of a work item on one worker's
+// private environment: the checkpointed executor or a fresh live gate
+// session. The pool's workers differ only in this function.
+type attemptFunc func(ctx context.Context, item workItem) (*Outcome, error)
 
-	for res.Explored < maxNew {
-		if err := ctx.Err(); err != nil {
-			res.Interrupted = true
-			res.InterruptErr = err
-			break
-		}
-		genSpan := tel.span(telemetry.StageGenerate, res.Explored+1, telemetry.CoordinatorWorker)
-		il, ok := explorer.Next()
-		genSpan.End()
-		if !ok {
-			res.Exhausted = true
-			break
-		}
-		key := il.Key()
-		dedupSpan := tel.span(telemetry.StageDedup, res.Explored+1, telemetry.CoordinatorWorker)
-		dup := explored.Has(key)
-		if !dup && !explored.Add(key) {
-			tel.onDedupSaturated()
-		}
-		dedupSpan.End()
-		if dup {
-			tel.onDedupSkipped()
-			// A skipped fuzz child still needs classifying (as dropped) or
-			// its generation would never complete.
-			reportDropped(explorer, key)
-			maybeEvolveFuzz(explorer, tel)
-			continue // journal resume, or re-pruning regenerated the explorer
-		}
-		res.Explored++
-		tel.onExplored()
-		if cfg.Journal != nil {
-			if err := cfg.Journal.AppendExplored(il); err != nil {
-				return err
-			}
-		}
-
-		if cfg.Store != nil {
-			if err := cfg.Store.Record(il); err != nil {
-				if errors.Is(err, datalog.ErrBudgetExhausted) {
-					res.Crashed = true
-					res.CrashErr = err
-					break
-				}
-				return err
-			}
-		}
-
-		tel.setWorker(0, res.Explored)
-		exec.pivot = pivotOf(explorer)
-		execSpan := tel.span(telemetry.StageExecute, res.Explored, 0)
-		outcome, attempts, execErr := executeWithRetry(ctx, exec, s, cfg, il, res.Explored, jitter)
-		execSpan.End()
-		tel.setWorker(0, 0)
-		if execErr != nil {
-			if ctx.Err() != nil {
-				res.Interrupted = true
-				res.InterruptErr = ctx.Err()
-				break
-			}
-			if errors.Is(execErr, ErrSubsumed) {
-				// The index, journal entry, and dedup key all stand — the
-				// interleaving counted toward the cap before the skip — it
-				// just produced no outcome to assert on.
-				res.Subsumed++
-				reportDropped(explorer, key)
-				maybeEvolveFuzz(explorer, tel)
-				continue
-			}
-			// Quarantine instead of aborting: exploration continues and the
-			// run yields everything else.
-			tel.onQuarantined()
-			res.Quarantined = append(res.Quarantined, ExecError{
-				Index:        res.Explored,
-				Interleaving: il,
-				Attempts:     attempts,
-				Err:          execErr,
-			})
-			reportDropped(explorer, key)
-			maybeEvolveFuzz(explorer, tel)
-			continue
-		}
-		if cfg.OnOutcome != nil {
-			cfg.OnOutcome(outcome)
-		}
-		reportFeedback(explorer, il, outcome)
-		maybeEvolveFuzz(explorer, tel)
-		violated := false
-		assertSpan := tel.span(telemetry.StageAssert, res.Explored, telemetry.CoordinatorWorker)
-		newViolations := 0
-		for _, a := range cfg.Assertions {
-			if err := a.Check(outcome); err != nil {
-				res.Violations = append(res.Violations, Violation{
-					Index:        res.Explored,
-					Interleaving: il,
-					Assertion:    a.Name(),
-					Err:          err,
-				})
-				newViolations++
-				violated = true
-			}
-		}
-		assertSpan.End()
-		tel.onViolations(newViolations)
-		if violated && res.FirstViolation == 0 {
-			res.FirstViolation = res.Explored
-		}
-		if violated {
-			captureForensic(s, cfg, res, il, res.Explored, res.Violations)
-		}
-		if violated && cfg.StopOnViolation {
-			break
-		}
-
-		if cfg.ConstraintPoll != nil && cfg.Mode == ModeERPi && res.Explored%cfg.PollEvery == 0 {
-			extra, found, err := cfg.ConstraintPoll()
-			if err != nil {
-				return fmt.Errorf("runner: constraints: %w", err)
-			}
-			if found {
-				pruning.Merge(extra)
-				repruneSpan := tel.span(telemetry.StagePrune, res.Explored, telemetry.CoordinatorWorker)
-				explorer, err = newExplorer(s, cfg, pruning)
-				repruneSpan.End()
-				if err != nil {
-					return fmt.Errorf("runner: re-pruning: %w", err)
-				}
-				// Re-pruning regenerates the explorer sequence; flush the
-				// prefix cache so it does not hold branches the new
-				// sequence will never walk, and the subsumption table so
-				// skips are justified against the new enumeration only.
-				if exec.cache != nil {
-					freed, stateFreed := exec.cache.invalidate()
-					tel.onSnapshot(-freed, 0)
-					tel.onPrefixDeltaBytes(-stateFreed)
-					exec.prevIL = nil
-				}
-				if sub != nil {
-					tel.onSubsumeBytes(-sub.invalidate())
-				}
-			}
-		}
-	}
-	if r, ok := explorer.(*interleave.RandExplorer); ok {
-		res.RandShuffles = r.Shuffles()
-	}
-	return nil
-}
-
-// executeAttempt performs one execution attempt: run the interleaving
-// (under the per-interleaving timeout, when configured; execute itself
-// restores the cluster from a cached prefix or the genesis checkpoint),
-// finalize, and recompute the outcome's post-finalize fields.
+// executeAttempt performs one checkpointed execution attempt: run the
+// interleaving (under the per-interleaving timeout, when configured;
+// execute itself restores the cluster from a cached prefix or the genesis
+// checkpoint), finalize, and recompute the outcome's post-finalize fields.
 func executeAttempt(ctx context.Context, exec *executor, s Scenario, cfg Config, il interleave.Interleaving, index int) (*Outcome, error) {
-	ilCtx := ctx
-	if cfg.InterleavingTimeout > 0 {
-		var cancel context.CancelFunc
-		ilCtx, cancel = context.WithTimeout(ctx, cfg.InterleavingTimeout)
-		defer cancel()
-	}
-	outcome, err := exec.execute(ilCtx, il, index)
+	ctx, cancel := attemptContext(ctx, cfg)
+	defer cancel()
+	outcome, err := exec.execute(ctx, il, index)
 	if err != nil {
 		return nil, err
 	}
@@ -732,15 +553,24 @@ func executeAttempt(ctx context.Context, exec *executor, s Scenario, cfg Config,
 	return outcome, nil
 }
 
-// executeWithRetry drives executeAttempt through the retry policy:
-// exponential backoff with seeded ±50% jitter, up to cfg.MaxRetries
-// retries, aborting early when ctx dies. It returns the outcome, the
-// number of attempts made, and the final error when every attempt failed.
-func executeWithRetry(ctx context.Context, exec *executor, s Scenario, cfg Config, il interleave.Interleaving, index int, jitter *rand.Rand) (*Outcome, int, error) {
+// attemptContext bounds one execution attempt by cfg.InterleavingTimeout
+// (no bound when zero).
+func attemptContext(ctx context.Context, cfg Config) (context.Context, context.CancelFunc) {
+	if cfg.InterleavingTimeout > 0 {
+		return context.WithTimeout(ctx, cfg.InterleavingTimeout)
+	}
+	return ctx, func() {}
+}
+
+// executeWithRetry drives attempt through the retry policy: exponential
+// backoff with seeded ±50% jitter, up to cfg.MaxRetries retries, aborting
+// early when ctx dies. It returns the outcome, the number of attempts
+// made, and the final error when every attempt failed.
+func executeWithRetry(ctx context.Context, cfg Config, tel *runTelemetry, jitter *rand.Rand, item workItem, attempt attemptFunc) (*Outcome, int, error) {
 	attempts := 0
 	for {
 		attempts++
-		outcome, err := executeAttempt(ctx, exec, s, cfg, il, index)
+		outcome, err := attempt(ctx, item)
 		if err == nil {
 			return outcome, attempts, nil
 		}
@@ -755,7 +585,7 @@ func executeWithRetry(ctx context.Context, exec *executor, s Scenario, cfg Confi
 		if attempts > cfg.MaxRetries {
 			return nil, attempts, err
 		}
-		exec.tel.onRetry()
+		tel.onRetry()
 		select {
 		case <-ctx.Done():
 			return nil, attempts, ctx.Err()
@@ -904,21 +734,6 @@ func reportDropped(explorer interleave.Explorer, key string) {
 	if ge, ok := explorer.(generationExplorer); ok {
 		ge.ReportDropped(key)
 	}
-}
-
-// maybeEvolveFuzz runs the fuzzer's once-per-generation corpus evolution
-// when the generation is fully emitted and classified, under a
-// StageFuzzEvolve span, publishing the fuzz gauges. The sequential
-// engine's analog of the pool's fuzz quiesce barrier.
-func maybeEvolveFuzz(explorer interleave.Explorer, tel *runTelemetry) {
-	ge, ok := explorer.(generationExplorer)
-	if !ok || !ge.GenerationEnd() || ge.Pending() != 0 {
-		return
-	}
-	span := tel.span(telemetry.StageFuzzEvolve, ge.Explored(), telemetry.CoordinatorWorker)
-	ge.Evolve()
-	span.End()
-	tel.onFuzzGeneration(ge.Generations(), ge.CorpusSize(), ge.NoveltyRate())
 }
 
 // OutcomeSignature digests an outcome into the engine's stable behaviour

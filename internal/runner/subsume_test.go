@@ -121,7 +121,7 @@ func TestSubsumeTableEviction(t *testing.T) {
 // TestSubsumptionSignatureParity is the central soundness pin: with
 // subsumption on, the deduplicated outcome-signature set is identical to
 // the subsumption-off baseline for both lexicographic modes at Workers 1
-// and 8, while the sequential engines actually skip work.
+// and 8, while the engine actually skips work.
 func TestSubsumptionSignatureParity(t *testing.T) {
 	for _, mode := range []Mode{ModeERPi, ModeDFS} {
 		for _, workers := range []int{1, 8} {
@@ -152,7 +152,7 @@ func TestSubsumptionSignatureParity(t *testing.T) {
 
 // TestSubsumptionSequentialDeterminism: with one worker the same run
 // subsumes the same interleavings every time (the pool's skip set may
-// vary with timing; the sequential engine's may not).
+// vary with timing at more than one worker; a one-worker pool's may not).
 func TestSubsumptionSequentialDeterminism(t *testing.T) {
 	s := townReportScenario(t)
 	cfg := Config{Mode: ModeERPi, Workers: 1, SubsumptionTable: testSubTable}

@@ -12,9 +12,11 @@ import (
 
 // TestTelemetryDeterminismPin: telemetry is strictly observational. A run
 // with a registry attached produces byte-identical outcome streams to one
-// without, and the Workers 1 vs 8 determinism pin holds with telemetry on.
+// without and to the plain reference loop, and the Workers 1 vs 8
+// determinism pin holds with telemetry on.
 func TestTelemetryDeterminismPin(t *testing.T) {
 	base := Config{Mode: ModeERPi, Assertions: []Assertion{municipalityInvariant{}}}
+	rawRef, resRef := referenceRun(t, townReportScenario(t), base)
 
 	plain := base
 	plain.Workers = 1
@@ -30,18 +32,22 @@ func TestTelemetryDeterminismPin(t *testing.T) {
 	eight.Telemetry = telemetry.New()
 	rawEight, resEight := collectOutcomes(t, townReportScenario(t), eight)
 
+	if !bytes.Equal(rawRef, rawPlain) {
+		t.Fatal("Workers 1 diverged from the reference run's outcome stream")
+	}
 	if !bytes.Equal(rawPlain, rawOne) {
 		t.Fatal("attaching a telemetry registry changed the outcome stream")
 	}
 	if !bytes.Equal(rawOne, rawEight) {
 		t.Fatal("Workers 1 vs 8 outcome streams diverge with telemetry on")
 	}
+	assertResultsMatch(t, resRef, resPlain)
 	assertResultsMatch(t, resPlain, resOne)
 	assertResultsMatch(t, resOne, resEight)
 
-	for name, res := range map[string]*Result{"sequential": resOne, "pool": resEight} {
+	for name, res := range map[string]*Result{"workers=1": resOne, "workers=8": resEight} {
 		var reg *telemetry.Registry
-		if name == "sequential" {
+		if name == "workers=1" {
 			reg = one.Telemetry
 		} else {
 			reg = eight.Telemetry
