@@ -3,7 +3,7 @@ package crdt
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // JSONDoc is a convergent JSON-like document: nested string-keyed objects
@@ -269,13 +269,13 @@ func objectsEqual(a, b *jsonObject) bool {
 // document values (stamps omitted), useful for assertions and divergence
 // reports.
 func (d *JSONDoc) Snapshot() string {
-	var b strings.Builder
-	renderObject(&b, d.root)
-	return b.String()
+	return string(appendObject(nil, d.root))
 }
 
-func renderObject(b *strings.Builder, obj *jsonObject) {
-	b.WriteByte('{')
+// appendObject renders obj as {"key":"value",...} with keys sorted and
+// every string quoted as strconv.Quote (fmt's %q) quotes it.
+func appendObject(b []byte, obj *jsonObject) []byte {
+	b = append(b, '{')
 	keys := make([]string, 0, len(obj.fields))
 	for k, e := range obj.fields {
 		if e.visible() {
@@ -285,19 +285,20 @@ func renderObject(b *strings.Builder, obj *jsonObject) {
 	sort.Strings(keys)
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(b, "%q:", k)
+		b = strconv.AppendQuote(b, k)
+		b = append(b, ':')
 		e := obj.fields[k]
 		if e.isObject() {
 			if e.children != nil {
-				renderObject(b, e.children)
+				b = appendObject(b, e.children)
 			} else {
-				b.WriteString("{}")
+				b = append(b, "{}"...)
 			}
 			continue
 		}
-		fmt.Fprintf(b, "%q", e.prim)
+		b = strconv.AppendQuote(b, e.prim)
 	}
-	b.WriteByte('}')
+	return append(b, '}')
 }

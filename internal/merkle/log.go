@@ -14,7 +14,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Entry is one immutable node of the Merkle DAG.
@@ -31,18 +31,34 @@ type Entry struct {
 	Parents []string `json:"parents,omitempty"`
 }
 
-// canonical returns the deterministic byte encoding that is hashed.
-func (e *Entry) canonical() string {
-	parents := make([]string, len(e.Parents))
-	copy(parents, e.Parents)
-	sort.Strings(parents)
-	return fmt.Sprintf("payload=%q clock=%d id=%q parents=%s",
-		e.Payload, e.Clock, e.Identity, strings.Join(parents, ","))
+// canonical returns the deterministic byte encoding that is hashed:
+// payload=%q clock=%d id=%q parents=<sorted hashes, comma-joined>.
+func (e *Entry) canonical() []byte {
+	parents := e.Parents
+	if len(parents) > 1 {
+		parents = append([]string(nil), parents...)
+		sort.Strings(parents)
+	}
+	b := make([]byte, 0, 64+len(e.Payload)+len(e.Identity)+65*len(parents))
+	b = append(b, "payload="...)
+	b = strconv.AppendQuote(b, e.Payload)
+	b = append(b, " clock="...)
+	b = strconv.AppendUint(b, e.Clock, 10)
+	b = append(b, " id="...)
+	b = strconv.AppendQuote(b, e.Identity)
+	b = append(b, " parents="...)
+	for i, p := range parents {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, p...)
+	}
+	return b
 }
 
 // ComputeHash returns the content address of the entry's current fields.
 func (e *Entry) ComputeHash() string {
-	sum := sha256.Sum256([]byte(e.canonical()))
+	sum := sha256.Sum256(e.canonical())
 	return hex.EncodeToString(sum[:])
 }
 

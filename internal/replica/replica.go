@@ -46,7 +46,19 @@ type State interface {
 	Apply(op Op) (string, error)
 	// SyncPayload produces the synchronization request this replica would
 	// send right now (full state for state-based CRDTs, pending ops for
-	// op-based ones).
+	// op-based ones). The built-in subjects' wire codecs (DESIGN.md §4.16)
+	// keep three properties:
+	//
+	//   - Canonical: two replicas in the same sync state send identical
+	//     bytes. The subsumption context hash covers the payloads of
+	//     pending syncs, so a payload that leaked map order would make
+	//     equal frontiers hash apart and silently cost pruning.
+	//   - Strict: ApplySync decodes the whole payload before applying any
+	//     of it, and rejects every strict prefix and any trailing bytes
+	//     with an error that is not ErrFailedOp. A TruncatePayload fault
+	//     therefore always fails the sync, and never half-applies it.
+	//   - Exact: strings arrive byte for byte, and fields the receiver can
+	//     infer (such as an op's remote flag) are set by the receiver.
 	SyncPayload() ([]byte, error)
 	// ApplySync executes a received synchronization request.
 	ApplySync(payload []byte) error

@@ -5,7 +5,8 @@
 // fixpoint. A subject that leaks incidental state (map iteration order,
 // arrival counters nothing reads) into its snapshot would silently
 // disable subsumption — equal frontiers would never hash equal — without
-// failing any behavioral test. This suite pins the encoding itself.
+// failing any behavioral test. This suite pins the encoding itself: the
+// snapshots here, the sync payloads in wire_test.go.
 package canon
 
 import (

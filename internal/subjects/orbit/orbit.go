@@ -28,6 +28,7 @@ import (
 
 	"github.com/er-pi/erpi/internal/merkle"
 	"github.com/er-pi/erpi/internal/replica"
+	"github.com/er-pi/erpi/internal/wire"
 )
 
 // Flags seed the known defects.
@@ -265,7 +266,8 @@ func (d *DB) verifyAll() string {
 	return "corrupt:" + strings.Join(bad, ",")
 }
 
-// SyncPayload implements replica.State: every entry of the DAG. With
+// SyncPayload implements replica.State: every entry of the DAG, in local
+// arrival order (merkle.Log.Entries). With
 // BugMutateAfterHash an UNSEALED newest local entry is annotated after
 // hashing, so the receiver sees a head whose hash doesn't match (issue
 // #583) — but only in interleavings where the sync overtakes the seal.
@@ -279,7 +281,7 @@ func (d *DB) SyncPayload() ([]byte, error) {
 			}
 		}
 	}
-	return json.Marshal(entries)
+	return appendEntries(nil, entries), nil
 }
 
 // ApplySync implements replica.State: join the remote entries. Entries
@@ -288,14 +290,52 @@ func (d *DB) SyncPayload() ([]byte, error) {
 // disabled the guard.
 func (d *DB) ApplySync(payload []byte) error {
 	d.ver++
-	var entries []*merkle.Entry
-	if err := json.Unmarshal(payload, &entries); err != nil {
+	entries, err := decodeEntries(payload)
+	if err != nil {
 		return fmt.Errorf("orbit: sync payload: %w", err)
 	}
 	if err := d.log.Join(entries); err != nil {
 		return replica.ErrFailedOp
 	}
 	return nil
+}
+
+// appendEntries writes the sync wire form (DESIGN.md §4.16): an entry
+// count, then each entry's hash, payload, clock, identity and parent
+// hashes (count-prefixed), in the order given.
+func appendEntries(b []byte, entries []*merkle.Entry) []byte {
+	b = wire.AppendUint(b, uint64(len(entries)))
+	for _, e := range entries {
+		b = wire.AppendString(b, e.Hash)
+		b = wire.AppendString(b, e.Payload)
+		b = wire.AppendUint(b, e.Clock)
+		b = wire.AppendString(b, e.Identity)
+		b = wire.AppendUint(b, uint64(len(e.Parents)))
+		for _, p := range e.Parents {
+			b = wire.AppendString(b, p)
+		}
+	}
+	return b
+}
+
+// decodeEntries reads appendEntries' form, all of it, or fails. An entry
+// without parents decodes with nil Parents, as the JSON form did.
+func decodeEntries(payload []byte) ([]*merkle.Entry, error) {
+	r := wire.NewReader(payload)
+	backing := make([]merkle.Entry, r.Count(5))
+	entries := make([]*merkle.Entry, len(backing))
+	for i := range backing {
+		e := &backing[i]
+		e.Hash, e.Payload, e.Clock, e.Identity = r.String(), r.String(), r.Uint(), r.String()
+		if n := r.Count(1); n > 0 {
+			e.Parents = make([]string, n)
+			for j := range e.Parents {
+				e.Parents[j] = r.String()
+			}
+		}
+		entries[i] = e
+	}
+	return entries, r.Done()
 }
 
 type snapshot struct {

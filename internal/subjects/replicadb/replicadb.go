@@ -17,11 +17,13 @@ package replicadb
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"github.com/er-pi/erpi/internal/replica"
+	"github.com/er-pi/erpi/internal/wire"
 )
 
 // Flags seed the known defects.
@@ -260,11 +262,12 @@ func (n *Node) Apply(op replica.Op) (string, error) {
 
 // syncPayload carries the source table between replicas.
 type syncPayload struct {
-	Rows    []row  `json:"rows"`
-	Version uint64 `json:"version"`
+	Rows    []row
+	Version uint64
 }
 
-// SyncPayload implements replica.State.
+// SyncPayload implements replica.State: the source rows sorted by key,
+// then the version counter.
 func (n *Node) SyncPayload() ([]byte, error) {
 	p := syncPayload{Version: n.version}
 	for _, r := range n.source {
@@ -272,15 +275,15 @@ func (n *Node) SyncPayload() ([]byte, error) {
 		cp.Seq = 0 // Seq is local apply order; receivers assign their own
 		p.Rows = append(p.Rows, cp)
 	}
-	sort.Slice(p.Rows, func(i, j int) bool { return p.Rows[i].Key < p.Rows[j].Key })
-	return json.Marshal(p)
+	slices.SortFunc(p.Rows, func(a, b row) int { return strings.Compare(a.Key, b.Key) })
+	return p.append(nil), nil
 }
 
 // ApplySync implements replica.State: LWW-merge remote source rows.
 func (n *Node) ApplySync(payload []byte) error {
 	n.stateVer++
-	var p syncPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
+	p, err := decodeSync(payload)
+	if err != nil {
 		return fmt.Errorf("replicadb: sync payload: %w", err)
 	}
 	for i := range p.Rows {
@@ -297,6 +300,34 @@ func (n *Node) ApplySync(payload []byte) error {
 		n.version = p.Version
 	}
 	return nil
+}
+
+// append writes the sync wire form (DESIGN.md §4.16): a row count, each
+// row's key, value, version and deleted flag, then the version counter.
+// Seq is not sent.
+func (p syncPayload) append(b []byte) []byte {
+	b = wire.AppendUint(b, uint64(len(p.Rows)))
+	for _, r := range p.Rows {
+		b = wire.AppendString(b, r.Key)
+		b = wire.AppendString(b, r.Value)
+		b = wire.AppendUint(b, r.Version)
+		b = wire.AppendBool(b, r.Deleted)
+	}
+	return wire.AppendUint(b, p.Version)
+}
+
+// decodeSync reads syncPayload.append's form, all of it, or fails.
+func decodeSync(payload []byte) (syncPayload, error) {
+	r := wire.NewReader(payload)
+	var p syncPayload
+	if n := r.Count(4); n > 0 {
+		p.Rows = make([]row, n)
+		for i := range p.Rows {
+			p.Rows[i] = row{Key: r.String(), Value: r.String(), Version: r.Uint(), Deleted: r.Bool()}
+		}
+	}
+	p.Version = r.Uint()
+	return p, r.Done()
 }
 
 type snapshot struct {

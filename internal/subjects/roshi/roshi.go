@@ -21,11 +21,13 @@ package roshi
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"github.com/er-pi/erpi/internal/replica"
+	"github.com/er-pi/erpi/internal/wire"
 )
 
 // Flags seed the known defects.
@@ -207,25 +209,35 @@ func (s *Store) Apply(op replica.Op) (string, error) {
 }
 
 func renderEntries(entries []SelectEntry) string {
-	parts := make([]string, len(entries))
+	return string(appendEntries(nil, entries))
+}
+
+// appendEntries renders entries as "member@score[:deleted]", comma-joined.
+func appendEntries(b []byte, entries []SelectEntry) []byte {
 	for i, e := range entries {
-		parts[i] = fmt.Sprintf("%s@%d", e.Member, e.Score)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, e.Member...)
+		b = append(b, '@')
+		b = strconv.AppendUint(b, e.Score, 10)
 		if e.Deleted {
-			parts[i] += ":deleted"
+			b = append(b, ":deleted"...)
 		}
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // syncRecord is the wire form of one record.
 type syncRecord struct {
-	Key     string `json:"key"`
-	Member  string `json:"member"`
-	Score   uint64 `json:"score"`
-	Deleted bool   `json:"deleted"`
+	Key     string
+	Member  string
+	Score   uint64
+	Deleted bool
 }
 
-// SyncPayload implements replica.State: the full record table.
+// SyncPayload implements replica.State: the full record table, sorted by
+// key, then member.
 func (s *Store) SyncPayload() ([]byte, error) {
 	var recs []syncRecord
 	for key, members := range s.keys {
@@ -233,26 +245,49 @@ func (s *Store) SyncPayload() ([]byte, error) {
 			recs = append(recs, syncRecord{Key: key, Member: r.Member, Score: r.Score, Deleted: r.Deleted})
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Key != recs[j].Key {
-			return recs[i].Key < recs[j].Key
+	slices.SortFunc(recs, func(a, b syncRecord) int {
+		if c := strings.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return recs[i].Member < recs[j].Member
+		return strings.Compare(a.Member, b.Member)
 	})
-	return json.Marshal(recs)
+	return appendRecords(nil, recs), nil
 }
 
 // ApplySync implements replica.State: merge the remote records through the
 // same LWW resolution as local ops.
 func (s *Store) ApplySync(payload []byte) error {
-	var recs []syncRecord
-	if err := json.Unmarshal(payload, &recs); err != nil {
+	recs, err := decodeRecords(payload)
+	if err != nil {
 		return fmt.Errorf("roshi: sync payload: %w", err)
 	}
 	for _, r := range recs {
 		s.apply(r.Key, r.Member, r.Score, r.Deleted)
 	}
 	return nil
+}
+
+// appendRecords writes the sync wire form (DESIGN.md §4.16): a record
+// count, then each record's key, member, score and deleted flag.
+func appendRecords(b []byte, recs []syncRecord) []byte {
+	b = wire.AppendUint(b, uint64(len(recs)))
+	for _, r := range recs {
+		b = wire.AppendString(b, r.Key)
+		b = wire.AppendString(b, r.Member)
+		b = wire.AppendUint(b, r.Score)
+		b = wire.AppendBool(b, r.Deleted)
+	}
+	return b
+}
+
+// decodeRecords reads appendRecords' form, all of it, or fails.
+func decodeRecords(payload []byte) ([]syncRecord, error) {
+	r := wire.NewReader(payload)
+	recs := make([]syncRecord, r.Count(4))
+	for i := range recs {
+		recs[i] = syncRecord{Key: r.String(), Member: r.String(), Score: r.Uint(), Deleted: r.Bool()}
+	}
+	return recs, r.Done()
 }
 
 // storeSnapshot is the checkpoint form of a store. Unlike the sync wire
@@ -321,9 +356,12 @@ func (s *Store) Fingerprint() string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
+	var b []byte
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%s{%s}", k, renderEntries(s.Select(k, true)))
+		b = append(b, k...)
+		b = append(b, '{')
+		b = appendEntries(b, s.Select(k, true))
+		b = append(b, '}')
 	}
-	return b.String()
+	return string(b)
 }

@@ -25,6 +25,7 @@ import (
 
 	"github.com/er-pi/erpi/internal/crdt"
 	"github.com/er-pi/erpi/internal/replica"
+	"github.com/er-pi/erpi/internal/wire"
 )
 
 // Flags seed the known defects.
@@ -257,23 +258,18 @@ func (d *Doc) originAt(idx int) (crdt.Time, error) {
 	return d.arr.IDAt(idx - 1)
 }
 
-// SyncPayload implements replica.State: the full op log, marked remote so
-// the receiver runs the remote-apply path.
+// SyncPayload implements replica.State: the full op log, in log order.
+// The receiver marks every op remote so it runs the remote-apply path.
 func (d *Doc) SyncPayload() ([]byte, error) {
-	ops := make([]docOp, len(d.opLog))
-	copy(ops, d.opLog)
-	for i := range ops {
-		ops[i].Remote = true
-	}
-	return json.Marshal(ops)
+	return appendOps(nil, d.opLog), nil
 }
 
 // ApplySync implements replica.State: apply the remote ops (idempotently)
 // and adopt them into the local op log for further propagation.
 func (d *Doc) ApplySync(payload []byte) error {
 	d.ver++
-	var ops []docOp
-	if err := json.Unmarshal(payload, &ops); err != nil {
+	ops, err := decodeOps(payload)
+	if err != nil {
 		return fmt.Errorf("yorkie: sync payload: %w", err)
 	}
 	for _, op := range ops {
@@ -286,6 +282,53 @@ func (d *Doc) ApplySync(payload []byte) error {
 		d.opLog = append(d.opLog, op)
 	}
 	return nil
+}
+
+// appendOps writes the sync wire form (DESIGN.md §4.16): an op count,
+// then each op's kind, path (count-prefixed), value, stamp, element ID
+// and origin ID. Remote is not sent: every synced op is remote.
+func appendOps(b []byte, ops []docOp) []byte {
+	b = wire.AppendUint(b, uint64(len(ops)))
+	for _, op := range ops {
+		b = wire.AppendString(b, op.Kind)
+		b = wire.AppendUint(b, uint64(len(op.Path)))
+		for _, p := range op.Path {
+			b = wire.AppendString(b, p)
+		}
+		b = wire.AppendString(b, op.Value)
+		b = appendTime(b, op.Stamp)
+		b = appendTime(b, op.ElemID)
+		b = appendTime(b, op.AfterID)
+	}
+	return b
+}
+
+func appendTime(b []byte, t crdt.Time) []byte {
+	return wire.AppendString(wire.AppendUint(b, t.Counter), t.Replica)
+}
+
+func readTime(r *wire.Reader) crdt.Time {
+	return crdt.Time{Counter: r.Uint(), Replica: r.String()}
+}
+
+// decodeOps reads appendOps' form, all of it, or fails. A pathless op
+// decodes with a nil Path, as the JSON form did.
+func decodeOps(payload []byte) ([]docOp, error) {
+	r := wire.NewReader(payload)
+	ops := make([]docOp, r.Count(9))
+	for i := range ops {
+		op := docOp{Kind: r.String(), Remote: true}
+		if n := r.Count(1); n > 0 {
+			op.Path = make([]string, n)
+			for j := range op.Path {
+				op.Path[j] = r.String()
+			}
+		}
+		op.Value = r.String()
+		op.Stamp, op.ElemID, op.AfterID = readTime(r), readTime(r), readTime(r)
+		ops[i] = op
+	}
+	return ops, r.Done()
 }
 
 type snapshot struct {
