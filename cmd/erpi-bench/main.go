@@ -9,7 +9,6 @@
 //	erpi-bench -fig10         # Figure 10: succeed-or-crash micro-benchmark
 //	erpi-bench -pool          # pool throughput sweep -> BENCH_pool.json
 //	erpi-bench -fuzz          # generation-batched fuzz sweep -> BENCH_fuzz.json
-//	erpi-bench -prefix        # incremental-replay sweep -> BENCH_prefix.json
 //	erpi-bench -subsume       # state-subsumption sweep -> BENCH_subsume.json
 //	erpi-bench -hash          # incremental-hashing micro+parity -> BENCH_hash.json
 //	erpi-bench -live          # live-replay session sweep -> BENCH_live.json
@@ -54,9 +53,6 @@ func run() int {
 		fuzz    = flag.Bool("fuzz", false, "generation-batched fuzz sweep over worker counts")
 		fuzzN   = flag.Int("fuzz-slice", bench.DefaultFuzzSlice, "interleavings per fuzz run")
 		fuzzOut = flag.String("fuzz-out", "BENCH_fuzz.json", "machine-readable fuzz report path")
-		prefix  = flag.Bool("prefix", false, "incremental-replay sweep over prefix-cache budgets")
-		prefN   = flag.Int("prefix-slice", bench.DefaultPrefixSlice, "interleavings per prefix run")
-		prefOut = flag.String("prefix-out", "BENCH_prefix.json", "machine-readable prefix report path")
 		subsume = flag.Bool("subsume", false, "state-subsumption sweep over table budgets")
 		subN    = flag.Int("subsume-slice", bench.DefaultSubsumeSlice, "interleavings per subsumption run")
 		subOut  = flag.String("subsume-out", "BENCH_subsume.json", "machine-readable subsumption report path")
@@ -76,7 +72,7 @@ func run() int {
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this path")
 	)
 	flag.Parse()
-	if !*all && !*table1 && !*table2 && !*fig8 && !*fig9 && !*fig10 && !*fuzzx && !*pool && !*fuzz && !*prefix && !*subsume && !*hash && !*live && !*dist && !*obs {
+	if !*all && !*table1 && !*table2 && !*fig8 && !*fig9 && !*fig10 && !*fuzzx && !*pool && !*fuzz && !*subsume && !*hash && !*live && !*dist && !*obs {
 		flag.Usage()
 		return 2
 	}
@@ -184,19 +180,6 @@ func run() int {
 		if !report.TrajectoryMatch {
 			return fail(fmt.Errorf("fuzz corpus trajectory diverged across worker counts"))
 		}
-	}
-	if *all || *prefix {
-		report, err := bench.RunPrefix(*prefN, nil)
-		if err != nil {
-			return fail(err)
-		}
-		if err := report.Render(os.Stdout); err != nil {
-			return fail(err)
-		}
-		if err := report.WritePrefixJSON(*prefOut); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("wrote %s\n\n", *prefOut)
 	}
 	if *all || *subsume {
 		report, err := bench.RunSubsume(*subN, nil)

@@ -289,17 +289,6 @@ func WithLiveGates(gates LiveGates) Option {
 	return func(s *Session) { s.cfg.LiveGates = gates }
 }
 
-// WithPrefixCache enables incremental replay: each worker keeps a
-// private bounded trie of mid-run cluster snapshots keyed by executed
-// event-prefix, restores the deepest cached prefix of every interleaving,
-// and replays only the suffix. bytes bounds the cached snapshot memory of
-// the whole run, split evenly across the workers. Strictly an accelerator — results are byte-identical with
-// the cache on or off, and fault-carrying interleavings always replay
-// from a clean genesis checkpoint. Non-positive bytes disables the cache.
-func WithPrefixCache(bytes int64) Option {
-	return func(s *Session) { s.cfg.PrefixCacheBytes = bytes }
-}
-
 // WithSubsumption enables DPOR-style state subsumption: interleavings
 // whose execution frontier reaches an already-visited (state-hash,
 // remaining-event-multiset) pair via a lexicographically smaller prefix

@@ -18,17 +18,16 @@ import (
 )
 
 // Incremental snapshot hashing benchmark (DESIGN.md §4.15). The replay
-// hot path fingerprints the cluster at every frontier check — prefix
-// cache captures and subsumption lookups both need the canonical state
-// digest after il[:depth]. Version-keyed per-replica caches make that
+// hot path fingerprints the cluster at every frontier check — each
+// subsumption lookup needs the canonical state digest after il[:depth]. Version-keyed per-replica caches make that
 // O(dirty replicas): a frontier check re-serializes only replicas
 // mutated since the previous check and composes the digest from cached
 // per-replica hashes. This benchmark measures exactly that path with a
 // differential design: one "pass" replays a DFS exploration unit — the
 // genesis walk of Roshi-3's trigger interleaving with a frontier check
-// after every event, then the sibling sweep DFS actually performs at the
-// log's tail (restore the shared prefix, replay each permutation of the
-// final three events, checking every suffix depth) — and the pass is
+// after every event, then a sibling sweep at the log's tail (restore the
+// shared prefix, replay each permutation of the final three events,
+// checking every suffix depth) — and the pass is
 // timed three ways: replay only (baseline), replay + checks with
 // incremental hashing, and replay + checks with full hashing
 // (replica.Cluster.SetFullHashing).
@@ -37,8 +36,8 @@ import (
 //
 // The soundness half pins that the optimization is pure mechanics: a
 // lockstep pass asserts the two modes produce byte-identical digests at
-// every frontier, and two full engine runs (DFS, Workers 1, prefix cache
-// + subsumption on) must agree on the deduplicated outcome-signature
+// every frontier, and two full engine runs (DFS, Workers 1, subsumption
+// on) must agree on the deduplicated outcome-signature
 // digest, the explored count, and the exact subsumed count — the latter
 // is only possible if every context hash matches bit for bit.
 
@@ -46,14 +45,10 @@ import (
 // replays per hashing mode.
 const DefaultHashSlice = 512
 
-// hashEngineCacheBytes / hashEngineTableBytes are the prefix-cache and
-// subsumption-table budgets of the engine-parity runs — generous enough
-// that neither evicts on the Roshi-3 slice, so the runs exercise both
-// hash consumers at full cadence.
-const (
-	hashEngineCacheBytes = 4 << 20
-	hashEngineTableBytes = 1 << 20
-)
+// hashEngineTableBytes is the subsumption-table budget of the
+// engine-parity runs — generous enough that it never evicts on the
+// Roshi-3 slice, so the runs check every frontier at full cadence.
+const hashEngineTableBytes = 1 << 20
 
 // HashMicro is one timed variant of the replay pass.
 type HashMicro struct {
@@ -183,8 +178,7 @@ func (r *hashReplayer) deliver(id event.ID) error {
 }
 
 // check is one frontier check: canonical snapshot plus cluster digest,
-// the exact work a prefix-cache capture or subsumption lookup performs
-// per snapshot depth.
+// the exact work a subsumption lookup performs per checked depth.
 func (r *hashReplayer) check() error {
 	snap, err := r.cluster.CanonicalSnapshot()
 	if err != nil {
@@ -382,7 +376,7 @@ func lockstepDigestParity(scenario runner.Scenario, trigger []event.ID) error {
 }
 
 // hashEngineParity runs the same DFS slice with incremental hashing on
-// and off (Workers 1, prefix cache + subsumption engaged) and pins the
+// and off (Workers 1, subsumption engaged) and pins the
 // observational equalities plus the telemetry-visible serialization
 // savings.
 func hashEngineParity(bug *bugs.Benchmark, slice int) (*HashEngine, error) {
@@ -414,7 +408,6 @@ func hashEngineParity(bug *bugs.Benchmark, slice int) (*HashEngine, error) {
 			Mode:             runner.ModeDFS,
 			Workers:          1,
 			MaxInterleavings: slice,
-			PrefixCacheBytes: hashEngineCacheBytes,
 			SubsumptionTable: hashEngineTableBytes,
 			Telemetry:        reg,
 			OnOutcome: func(o *runner.Outcome) {

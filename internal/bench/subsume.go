@@ -30,7 +30,7 @@ import (
 // signature set, not the stream.)
 
 // DefaultSubsumeSlice is how many DFS interleavings each subsumption run
-// replays. Larger than the pool/prefix slices: the frontier table needs
+// replays. Larger than the pool slice: the frontier table needs
 // enough commuting prefixes in the slice for witnesses to accumulate.
 const DefaultSubsumeSlice = 512
 

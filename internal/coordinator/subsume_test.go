@@ -111,7 +111,7 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 		"RetryBackoff":     true, // workers use the runner default
 		"Faults":           true, // fault schedules not distributed
 		"MaxExploredKeys":  true, // dedup owned by the journal
-		"PrefixCacheBytes": true, // in-process accelerator, not spec-driven
+		"PrefixCacheBytes": true, // deprecated and ignored (prefix cache removed)
 	}
 
 	tp := reflect.TypeOf(runner.Config{})

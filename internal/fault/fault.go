@@ -303,11 +303,10 @@ func (in *Injector) Begin(index int) {
 }
 
 // AnyArmed reports whether any fault in the schedule is armed for the
-// current interleaving (i.e. since the last Begin). The prefix cache
-// uses this to bypass snapshot reuse entirely on fault-carrying
-// interleavings: a crash or truncation mid-run makes cached prefix
-// states unrepresentative, so those interleavings replay from a clean
-// genesis checkpoint.
+// current interleaving (i.e. since the last Begin). The executor uses
+// this to keep fault-carrying interleavings out of state subsumption: a
+// crash or truncation mid-run makes the hashed execution context
+// unrepresentative of a fault-free witness.
 func (in *Injector) AnyArmed() bool {
 	if in == nil {
 		return false

@@ -103,7 +103,6 @@ type Explorer struct {
 }
 
 var _ interleave.Explorer = (*Explorer)(nil)
-var _ interleave.PivotExplorer = (*Explorer)(nil)
 
 // New returns a fuzzing explorer seeded with the recording order, using
 // adaptive generation sizing.
@@ -217,22 +216,6 @@ func (f *Explorer) Next() (interleave.Interleaving, bool) {
 	return c.il, true
 }
 
-// NextPivot implements interleave.PivotExplorer: the event depth where
-// the next buffered child diverges from the one just emitted. The
-// generation is sorted by event sequence, so consecutive children share
-// maximal prefixes — the depth the prefix cache should snapshot at.
-func (f *Explorer) NextPivot() int {
-	if len(f.buf) == 0 || len(f.emitted) == 0 {
-		return -1
-	}
-	prev, next := f.emitted[len(f.emitted)-1].il, f.buf[0].il
-	n := 0
-	for n < len(prev) && n < len(next) && prev[n] == next[n] {
-		n++
-	}
-	return n
-}
-
 // ReportOutcome classifies an emitted child by its interleaving key with
 // the behaviour signature its execution produced. Classifications are
 // idempotent per key and may arrive in any order; unknown keys are
@@ -252,7 +235,7 @@ func (f *Explorer) ReportOutcome(key, signature string) {
 // evidence: its execution was skipped (dedup, subsumption), quarantined,
 // or ran fault-armed (a fault-carrying replay's signature reflects the
 // fault schedule, not the order mutation, so it must not steer the
-// corpus — the fuzz analog of the prefix cache's clean-genesis bypass).
+// corpus — the fuzz analog of the subsumption bypass).
 func (f *Explorer) ReportDropped(key string) {
 	c := f.byKey[key]
 	if c == nil || c.done {
@@ -339,9 +322,9 @@ func (f *Explorer) TrajectoryDigest() string {
 // synthesize fills the next generation's buffer with unseen mutated
 // children of the current corpus. The mutation depth escalates with
 // consecutive duplicates so the fuzzer escapes saturated neighbourhoods;
-// the finished generation is sorted by event sequence so consecutive
-// emissions share maximal prefixes (prefix-cache locality — children of
-// one corpus parent mostly differ near their mutation point).
+// the finished generation is sorted by event sequence. That emission
+// order decides exploration indices and the corpus trajectory the fuzz
+// parity pins record, so it must not change.
 func (f *Explorer) synthesize() {
 	target := f.curSize
 	dup := 0

@@ -341,39 +341,6 @@ func TestLegacyReportFIFO(t *testing.T) {
 	}
 }
 
-func TestNextPivotSharesPrefixes(t *testing.T) {
-	f := New(space(t, 6), 8)
-	f.SetGenerationSize(24)
-	prev, ok := f.Next()
-	if !ok {
-		t.Fatal("exhausted early")
-	}
-	f.ReportOutcome(prev.Key(), "x")
-	sawShared := false
-	for !f.GenerationEnd() {
-		pivot := f.NextPivot()
-		il, ok := f.Next()
-		if !ok {
-			break
-		}
-		n := 0
-		for n < len(prev) && n < len(il) && prev[n] == il[n] {
-			n++
-		}
-		if pivot != n {
-			t.Fatalf("NextPivot = %d, actual common prefix = %d", pivot, n)
-		}
-		if pivot > 0 {
-			sawShared = true
-		}
-		f.ReportOutcome(il.Key(), "x")
-		prev = il
-	}
-	if !sawShared {
-		t.Fatal("sequence-sorted generation should share some prefixes")
-	}
-}
-
 func TestReportWithoutNextIsNoop(t *testing.T) {
 	f := New(space(t, 3), 4)
 	f.Report("ghost")

@@ -129,45 +129,6 @@ func (d *DFSExplorer) Next() (Interleaving, bool) {
 	}
 }
 
-// PivotExplorer is implemented by explorers that can predict where their
-// next yield will diverge from the current one, letting a prefix cache
-// snapshot exactly where the next lookup lands.
-type PivotExplorer interface {
-	// NextPivot returns the event depth of the longest prefix the most
-	// recently yielded interleaving shares with the next one the explorer
-	// will yield, or -1 when unknown (not started, exhausted, or the
-	// strategy is non-sequential). The value is an upper bound: pruning
-	// filters may reject the immediate successor and push the real
-	// divergence shallower.
-	NextPivot() int
-}
-
-var _ PivotExplorer = (*DFSExplorer)(nil)
-
-// NextPivot implements PivotExplorer for lexicographic enumeration: the
-// next permutation changes the current one from its rightmost ascent
-// onward, so the shared prefix is exactly the units before that pivot,
-// converted to an event depth.
-func (d *DFSExplorer) NextPivot() int {
-	if !d.started || d.done {
-		return -1
-	}
-	// Rightmost ascent scan, mirroring nextPermutation without mutating.
-	i := len(d.perm) - 2
-	for i >= 0 && d.perm[i] >= d.perm[i+1] {
-		i--
-	}
-	if i < 0 {
-		return -1 // current permutation is the last one
-	}
-	units := d.space.Units()
-	depth := 0
-	for _, ui := range d.perm[:i] {
-		depth += len(units[ui].Events)
-	}
-	return depth
-}
-
 // Perm returns a copy of the current unit permutation (the one most
 // recently yielded). Only meaningful after a successful Next.
 func (d *DFSExplorer) Perm() []int {

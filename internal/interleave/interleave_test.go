@@ -435,39 +435,3 @@ func TestSpaceUnitsCopy(t *testing.T) {
 		t.Fatal("Units() must return a copy")
 	}
 }
-
-// TestDFSNextPivot: after each yield, NextPivot must announce exactly
-// where the next yield diverges from the current one (in events), -1
-// before the first yield and on the final permutation.
-func TestDFSNextPivot(t *testing.T) {
-	log := testLog(t, 5)
-	d := NewDFS(NewSpace(log))
-	if got := d.NextPivot(); got != -1 {
-		t.Fatalf("NextPivot before the first yield = %d; want -1", got)
-	}
-	prev, ok := d.Next()
-	if !ok {
-		t.Fatal("empty exploration")
-	}
-	for {
-		pivot := d.NextPivot()
-		cur, ok := d.Next()
-		if !ok {
-			if pivot != -1 {
-				t.Fatalf("NextPivot on the last permutation = %d; want -1", pivot)
-			}
-			break
-		}
-		shared := 0
-		for shared < len(prev) && prev[shared] == cur[shared] {
-			shared++
-		}
-		if pivot != shared {
-			t.Fatalf("NextPivot = %d, but %v and %v share a %d-event prefix", pivot, prev, cur, shared)
-		}
-		prev = cur
-	}
-	if got := d.NextPivot(); got != -1 {
-		t.Fatalf("NextPivot after exhaustion = %d; want -1", got)
-	}
-}

@@ -21,12 +21,14 @@ func profiledScenario(t *testing.T, p *Profiler) runner.Scenario {
 			return st
 		}
 		return p.Wrap(st)
-	})
+	}, false)
 }
 
 // wrappedScenario builds the Roshi workload with every replica state
-// passed through wrap.
-func wrappedScenario(t *testing.T, wrap func(replica.State) replica.State) runner.Scenario {
+// passed through wrap. deep appends a third insert and sync, so the
+// six-event log is long enough for subsumption's frontier checks (every
+// four events) to snapshot the cluster mid-run.
+func wrappedScenario(t *testing.T, wrap func(replica.State) replica.State, deep bool) runner.Scenario {
 	t.Helper()
 	newCluster := func() (*replica.Cluster, error) {
 		return replica.NewCluster(map[event.ReplicaID]replica.State{
@@ -43,6 +45,10 @@ func wrappedScenario(t *testing.T, wrap func(replica.State) replica.State) runne
 	rec.Sync("A", "B")
 	rec.Update("B", "insert", "k", "y", "2")
 	rec.Sync("B", "A")
+	if deep {
+		rec.Update("A", "insert", "k", "z", "3")
+		rec.Sync("A", "B")
+	}
 	log, err := rec.Log()
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +205,7 @@ func TestProfilerWrapKeepsVersioned(t *testing.T) {
 		if _, err := runner.Run(s, runner.Config{
 			Mode:             runner.ModeDFS,
 			Workers:          1,
-			PrefixCacheBytes: 1 << 20,
+			SubsumptionTable: 1 << 20,
 			OnOutcome:        func(o *runner.Outcome) { outcomes = append(outcomes, o) },
 		}); err != nil {
 			t.Fatal(err)
@@ -210,13 +216,13 @@ func TestProfilerWrapKeepsVersioned(t *testing.T) {
 		}
 		return string(raw)
 	}
-	plain := run(profiledScenario(t, nil))
+	plain := run(wrappedScenario(t, func(st replica.State) replica.State { return st }, true))
 	versioned := New()
-	if got := run(profiledScenario(t, versioned)); got != plain {
+	if got := run(wrappedScenario(t, versioned.Wrap, true)); got != plain {
 		t.Fatal("profiling changed the Workers-1 outcome stream")
 	}
 	hidden := New()
-	if got := run(wrappedScenario(t, func(st replica.State) replica.State { return hidden.Wrap(unversioned{st}) })); got != plain {
+	if got := run(wrappedScenario(t, func(st replica.State) replica.State { return hidden.Wrap(unversioned{st}) }, true)); got != plain {
 		t.Fatal("hiding StateVersion changed the Workers-1 outcome stream")
 	}
 	if v, h := versioned.Snapshot().SnapshotBytes, hidden.Snapshot().SnapshotBytes; v >= h {

@@ -62,11 +62,13 @@ type State interface {
 	SyncPayload() ([]byte, error)
 	// ApplySync executes a received synchronization request.
 	ApplySync(payload []byte) error
-	// Snapshot serializes the state for checkpointing. The snapshot must
-	// capture ALL behavior-relevant state — logical clocks, arrival
-	// counters, tombstones — not just the observable value: the engine
-	// relies on Restore(Snapshot()) resuming execution mid-interleaving
-	// with byte-identical behavior (prefix-cache suffix replay, §4.9).
+	// Snapshot serializes the state for checkpointing and state hashing.
+	// The snapshot must capture ALL behavior-relevant state — logical
+	// clocks, arrival counters, tombstones — not just the observable
+	// value: the engine relies on Restore(Snapshot()) behaving
+	// byte-identically (genesis reset, crash restore), and state
+	// subsumption (§4.12) treats equal snapshots as interchangeable
+	// states.
 	Snapshot() ([]byte, error)
 	// Restore resets the state from a snapshot. After Restore the state
 	// must behave exactly as it did when the snapshot was taken.
@@ -91,8 +93,8 @@ type Versioned interface {
 // StateBuf is one replica's serialized state with its SHA-256 digest.
 // Bufs are immutable once built and shared freely: consecutive cluster
 // snapshots reuse the same *StateBuf for replicas that did not change
-// between them, which is what makes the prefix cache's delta accounting
-// (charging each distinct buffer once) work.
+// between them, so a frontier check re-serializes and re-hashes only the
+// replicas that moved.
 type StateBuf struct {
 	Data []byte
 	Hash [sha256.Size]byte
@@ -265,9 +267,8 @@ func (c *Cluster) Reset() error {
 // ClusterSnapshot is a canonical point-in-time serialization of every
 // replica's state: replicas appear in sorted ID order, so two clusters in
 // equal states always produce snapshots with identical structure. It is
-// both the prefix cache's restore unit and the input to state-hash
-// subsumption (DESIGN.md §4.12), which is why the ordering must be
-// canonical rather than map-iteration incidental.
+// the input to state-hash subsumption (DESIGN.md §4.12), which is why the
+// ordering must be canonical rather than map-iteration incidental.
 type ClusterSnapshot struct {
 	// IDs are the replica identities in ascending order.
 	IDs []event.ReplicaID
@@ -276,9 +277,6 @@ type ClusterSnapshot struct {
 	// across snapshots (the node-level cache returns the same *StateBuf
 	// while a replica is clean).
 	Bufs []*StateBuf
-	// Bytes is the total size of the snapshot payloads — the unit the
-	// prefix cache's byte budget accounts in.
-	Bytes int64
 	// Dirty counts the replicas that had to be re-serialized to build
 	// this snapshot; Reused is the payload bytes served from per-replica
 	// caches instead (snapshot.dirty_replicas / snapshot.bytes_reused).
@@ -299,7 +297,6 @@ func (c *Cluster) CanonicalSnapshot() (*ClusterSnapshot, error) {
 			return nil, fmt.Errorf("replica: snapshot %s: %w", id, err)
 		}
 		snap.Bufs = append(snap.Bufs, buf)
-		snap.Bytes += int64(len(buf.Data))
 		if reused {
 			snap.Reused += int64(len(buf.Data))
 		} else {
@@ -313,7 +310,9 @@ func (c *Cluster) CanonicalSnapshot() (*ClusterSnapshot, error) {
 // produced by CanonicalSnapshot). Every node in the cluster must be
 // covered; the genesis checkpoints are left untouched. Restored buffers
 // are adopted into the per-node caches, so the next CanonicalSnapshot
-// re-serializes only replicas the resumed suffix touches.
+// re-serializes only replicas touched since. The engine never resumes
+// mid-run (it resets to genesis); the hashing micro-benchmark and the
+// delta-restore property test use this to replay from a shared prefix.
 func (c *Cluster) RestoreSnapshot(snap *ClusterSnapshot) error {
 	if len(snap.IDs) != len(c.nodes) {
 		return fmt.Errorf("replica: snapshot covers %d replicas, cluster has %d", len(snap.IDs), len(c.nodes))

@@ -11,11 +11,11 @@ import (
 )
 
 // This file is the exported execution facade: the exact worker-side stack
-// the pool engine runs (private cluster, injector clone, prefix cache,
-// retry-with-seeded-jitter) packaged so out-of-process callers — the
-// distributed coordinator's workers foremost — execute interleavings with
-// byte-identical semantics to an in-process Workers=N run. The pool's
-// checkpointed workers build their environments through the same
+// the pool engine runs (private cluster, injector clone, subsumption
+// table, retry-with-seeded-jitter) packaged so out-of-process callers —
+// the distributed coordinator's workers foremost — execute interleavings
+// with byte-identical semantics to an in-process Workers=N run. The
+// pool's checkpointed workers build their environments through the same
 // newWorkerEnv and retry through the same executeWithRetry, so there is
 // one definition of "execute an interleaving" in the codebase.
 
@@ -34,11 +34,6 @@ func normalizeRetry(cfg *Config) {
 		cfg.RetryBackoff = time.Millisecond
 	}
 }
-
-// snapshotEvery is the executor's snapshot and frontier-check stride in
-// events. It is always defaultPrefixSnapshotEvery outside tests; a test
-// raises it to isolate the divergence and pivot snapshots.
-var snapshotEvery = defaultPrefixSnapshotEvery
 
 // newInjector clones the run's fault schedule into a private injector
 // (instrumented when telemetry is on); nil without a schedule.
@@ -66,11 +61,10 @@ func newJitter(seed int64, w int) *rand.Rand {
 
 // newWorkerEnv builds one worker's private checkpointed execution
 // environment: fault injector, fresh cluster checkpointed at genesis, and
-// executor with a prefix cache of cacheBytes (none when non-positive).
-// sub is the run's shared subsumption table (nil when disabled) — unlike
-// the cache, all workers consult the same table. Shared by every pool
-// worker and the exported Executor facade.
-func newWorkerEnv(s Scenario, cfg Config, w int, cacheBytes int64, tel *runTelemetry, sub *subsumeTable) (*executor, error) {
+// executor. sub is the run's shared subsumption table (nil when
+// disabled). Shared by every pool worker and the exported Executor
+// facade.
+func newWorkerEnv(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeTable) (*executor, error) {
 	inj, err := newInjector(cfg, tel)
 	if err != nil {
 		return nil, err
@@ -82,20 +76,13 @@ func newWorkerEnv(s Scenario, cfg Config, w int, cacheBytes int64, tel *runTelem
 	if err := cluster.Checkpoint(); err != nil {
 		return nil, err
 	}
-	exec := &executor{log: s.Log, cluster: cluster, inj: inj, tel: tel, worker: w,
-		pivot: -1, sub: sub, subEvery: snapshotEvery}
-	if cacheBytes > 0 {
-		// Private per-worker cache: no cross-worker sharing, so what a
-		// worker computes never depends on what other workers ran.
-		exec.cache = newPrefixCache(cacheBytes, snapshotEvery)
-	}
-	return exec, nil
+	return &executor{log: s.Log, cluster: cluster, inj: inj, tel: tel, worker: w, sub: sub}, nil
 }
 
 // Executor replays individual interleavings of one scenario with the full
-// engine semantics: genesis checkpoint reset (or prefix-cache restore),
-// fault injection, Finalize, and retry-with-backoff. It is the unit a
-// distributed worker runs per leased range. Not safe for concurrent use;
+// engine semantics: genesis checkpoint reset, fault injection, Finalize,
+// and retry-with-backoff. It is the unit a distributed worker runs per
+// leased range. Not safe for concurrent use;
 // build one per goroutine.
 type Executor struct {
 	cfg     Config
@@ -106,12 +93,11 @@ type Executor struct {
 
 // NewExecutor builds a standalone interleaving executor for the scenario.
 // Honored Config fields: Seed, Faults, MaxRetries, RetryBackoff,
-// InterleavingTimeout, PrefixCacheBytes (the executor's whole budget),
-// SubsumptionTable (with Mode gating it, lexicographic modes only),
-// Telemetry. With SubsumptionTable > 0 the executor keeps a private
-// visited-frontier table across Execute calls and returns ErrSubsumed for
-// skipped interleavings — a distributed worker's per-process equivalent
-// of the engines' shared table.
+// InterleavingTimeout, SubsumptionTable (with Mode gating it,
+// lexicographic modes only), Telemetry. With SubsumptionTable > 0 the
+// executor keeps a private visited-frontier table across Execute calls
+// and returns ErrSubsumed for skipped interleavings — a distributed
+// worker's per-process equivalent of the engines' shared table.
 func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 	if s.Log == nil || s.Log.Len() == 0 {
 		return nil, fmt.Errorf("runner: scenario has no events")
@@ -129,7 +115,7 @@ func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 	}
 	normalizeRetry(&cfg)
 	tel := newRunTelemetry(cfg.Telemetry)
-	exec, err := newWorkerEnv(s, cfg, 0, cfg.PrefixCacheBytes, tel, newSubsumption(cfg))
+	exec, err := newWorkerEnv(s, cfg, 0, tel, newSubsumption(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +135,7 @@ func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 // is what a distributed worker's federation reports are built from.
 func (e *Executor) Execute(ctx context.Context, il interleave.Interleaving, index int) (*Outcome, int, error) {
 	e.tel.onExplored()
-	return executeWithRetry(ctx, e.cfg, e.tel, e.jit, workItem{index: index, il: il, pivot: -1}, e.attempt)
+	return executeWithRetry(ctx, e.cfg, e.tel, e.jit, workItem{index: index, il: il}, e.attempt)
 }
 
 // NewExplorer builds the exploration iterator the engine would use for

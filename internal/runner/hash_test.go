@@ -50,19 +50,19 @@ func TestRollingMultisetDigestParity(t *testing.T) {
 }
 
 // TestIncrementalHashingDeterminismPin is the tentpole's acceptance pin
-// at the engine level, in two halves per mode × worker count. With the
-// prefix cache on, the outcome stream and Result are byte-identical
-// between the incremental snapshot path (default) and full hashing. With subsumption on too, the
-// deduplicated signature set and explored count are pinned — and at
-// Workers 1, where the skip set is deterministic (the pool's varies with
-// timing, see TestSubsumptionSignatureParity), the exact subsumed count
-// and outcome stream as well, which is what proves the context hashes
-// are byte-identical.
+// at the engine level, per mode × worker count, with subsumption driving
+// a snapshot and context hash every few events: the deduplicated
+// signature set and explored count are identical between the incremental
+// snapshot path (default) and full hashing. At Workers 1, where the skip
+// set is deterministic (the pool's varies with timing, see
+// TestSubsumptionSignatureParity), the outcome stream, the Result and
+// the exact subsumed count are identical as well — which is what proves
+// the context hashes are byte-identical.
 func TestIncrementalHashingDeterminismPin(t *testing.T) {
 	for _, mode := range []Mode{ModeERPi, ModeDFS} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
-				run := func(full bool, subsume int64) ([]byte, *Result) {
+				run := func(full bool) ([]byte, *Result) {
 					s := townReportScenario(t)
 					if full {
 						s = withFullHashing(s)
@@ -71,34 +71,30 @@ func TestIncrementalHashingDeterminismPin(t *testing.T) {
 						Mode:             mode,
 						Workers:          workers,
 						MaxInterleavings: 400,
-						PrefixCacheBytes: testBudget,
-						SubsumptionTable: subsume,
+						SubsumptionTable: testSubTable,
 						Assertions:       []Assertion{municipalityInvariant{}},
 					})
 				}
-				inc, incRes := run(false, 0)
-				full, fullRes := run(true, 0)
-				if string(inc) != string(full) {
-					t.Fatal("incremental hashing changed the outcome stream vs full recompute")
-				}
-				assertResultsMatch(t, fullRes, incRes)
-
-				subInc, subIncRes := run(false, testSubTable)
-				subFull, subFullRes := run(true, testSubTable)
-				if sigSetOf(t, subInc) != sigSetOf(t, subFull) {
+				inc, incRes := run(false)
+				full, fullRes := run(true)
+				if sigSetOf(t, inc) != sigSetOf(t, full) {
 					t.Fatal("incremental hashing changed the behavior set under subsumption")
 				}
-				if subIncRes.Explored != subFullRes.Explored {
+				if incRes.Explored != fullRes.Explored {
 					t.Fatalf("explored %d incremental vs %d full under subsumption",
-						subIncRes.Explored, subFullRes.Explored)
+						incRes.Explored, fullRes.Explored)
+				}
+				if incRes.Subsumed == 0 {
+					t.Fatal("nothing subsumed: the context hashes were never compared")
 				}
 				if workers == 1 {
-					if string(subInc) != string(subFull) {
+					if string(inc) != string(full) {
 						t.Fatal("sequential subsumption outcome stream diverged between hash modes")
 					}
-					if subIncRes.Subsumed != subFullRes.Subsumed {
+					assertResultsMatch(t, fullRes, incRes)
+					if incRes.Subsumed != fullRes.Subsumed {
 						t.Fatalf("sequential subsumption diverged: %d skips incremental, %d full — "+
-							"the context hashes are not byte-identical", subIncRes.Subsumed, subFullRes.Subsumed)
+							"the context hashes are not byte-identical", incRes.Subsumed, fullRes.Subsumed)
 					}
 				}
 			})
@@ -159,7 +155,7 @@ func TestIncrementalHashingFaultParity(t *testing.T) {
 			Workers:          workers,
 			Faults:           crashSchedule(),
 			RetryBackoff:     100 * time.Microsecond,
-			PrefixCacheBytes: testBudget,
+			SubsumptionTable: testSubTable,
 		}
 		inc, incRes := collectOutcomes(t, s, cfg)
 		cfgFull := cfg
@@ -173,9 +169,8 @@ func TestIncrementalHashingFaultParity(t *testing.T) {
 }
 
 // TestIncrementalSnapshotTelemetry: an incremental run actually reuses
-// cached buffers (bytes_reused > 0, dirty well below replicas×snapshots)
-// and the delta gauge stays consistent; a full-hashing run reuses
-// nothing.
+// cached buffers (bytes_reused > 0, dirty well below replicas×snapshots);
+// a full-hashing run reuses nothing.
 func TestIncrementalSnapshotTelemetry(t *testing.T) {
 	run := func(full bool) telemetry.Snapshot {
 		s := townReportScenario(t)
@@ -185,7 +180,6 @@ func TestIncrementalSnapshotTelemetry(t *testing.T) {
 		reg := telemetry.New()
 		if _, err := Run(s, Config{
 			Mode:             ModeERPi,
-			PrefixCacheBytes: testBudget,
 			SubsumptionTable: testSubTable,
 			Telemetry:        reg,
 		}); err != nil {
@@ -199,9 +193,6 @@ func TestIncrementalSnapshotTelemetry(t *testing.T) {
 	}
 	if inc.Counters["snapshot.dirty_replicas"] == 0 {
 		t.Fatal("dirty_replicas = 0: snapshots were never accounted")
-	}
-	if g := inc.Gauges["runner.prefix_delta_bytes"]; g <= 0 {
-		t.Fatalf("prefix_delta_bytes gauge = %d after a cached run, want > 0", g)
 	}
 	full := run(true)
 	if got := full.Counters["snapshot.bytes_reused"]; got != 0 {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/er-pi/erpi/internal/datalog"
@@ -84,15 +83,9 @@ type pool struct {
 
 	// tel is nil when telemetry is off; all uses are nil-safe.
 	tel *runTelemetry
-	// cacheGen increments whenever re-pruning regenerates the explorer;
-	// checkpointed workers compare it before each attempt and flush their
-	// private prefix caches when it moved. The quiesce barrier guarantees
-	// no execution is in flight while it changes.
-	cacheGen atomic.Uint64
-	// sub is the run's shared subsumption table (nil when disabled).
-	// Unlike the private caches it is flushed directly at the quiesce
-	// barrier — no generation handshake needed, since no execution is in
-	// flight while poll() runs.
+	// sub is the run's shared subsumption table (nil when disabled). It
+	// is flushed directly at the re-pruning quiesce barrier, since no
+	// execution is in flight while poll() runs.
 	sub *subsumeTable
 	// nextSince / pollSince anchor the dispatch-wait and quiesce-gap spans
 	// (coordinator-only, valid only while tel is non-nil).
@@ -116,12 +109,10 @@ type pool struct {
 }
 
 // workItem is one interleaving dispatched to a worker, tagged with the
-// stable exploration index assigned by the coordinator and the explorer's
-// next-pivot hint captured at pull time (-1 when unavailable).
+// stable exploration index assigned by the coordinator.
 type workItem struct {
 	index int
 	il    interleave.Interleaving
-	pivot int
 }
 
 // workResult is one executed interleaving flowing back to the coordinator.
@@ -208,37 +199,15 @@ func (p *pool) worker(ctx context.Context, w int, setup workerSetup) {
 }
 
 // checkpointWorker is the checkpointed path's worker setup: a private
-// cluster and executor whose prefix cache gets an even share of the run's
-// PrefixCacheBytes. Before each attempt it flushes that cache when
-// re-pruning moved the cache generation.
+// cluster and executor, reset to genesis before every attempt.
 func (p *pool) checkpointWorker(w int) (attemptFunc, error) {
-	exec, err := newWorkerEnv(p.s, p.cfg, w, splitBudget(p.cfg.PrefixCacheBytes, p.workers), p.tel, p.sub)
+	exec, err := newWorkerEnv(p.s, p.cfg, w, p.tel, p.sub)
 	if err != nil {
 		return nil, err
 	}
-	var cacheGen uint64
 	return func(ctx context.Context, item workItem) (*Outcome, error) {
-		if exec.cache != nil {
-			if g := p.cacheGen.Load(); g != cacheGen {
-				cacheGen = g
-				freed, stateFreed := exec.cache.invalidate()
-				p.tel.onSnapshot(-freed, 0)
-				p.tel.onPrefixDeltaBytes(-stateFreed)
-				exec.prevIL = nil
-			}
-		}
-		exec.pivot = item.pivot
 		return executeAttempt(ctx, exec, p.s, p.cfg, item.il, item.index)
 	}, nil
-}
-
-// splitBudget divides a run-wide byte budget evenly across workers, at
-// least 1 byte each; a non-positive budget (disabled) stays as it is.
-func splitBudget(total int64, workers int) int64 {
-	if total <= 0 {
-		return total
-	}
-	return max(total/int64(workers), 1)
 }
 
 // coordinate is the producer + aggregator loop.
@@ -362,7 +331,7 @@ func (p *pool) pull() error {
 				return err
 			}
 		}
-		p.next = &workItem{index: p.assigned, il: il, pivot: pivotOf(p.explorer)}
+		p.next = &workItem{index: p.assigned, il: il}
 		if p.tel != nil {
 			p.nextSince = time.Now()
 		}
@@ -559,7 +528,6 @@ func (p *pool) poll() error {
 			return fmt.Errorf("runner: re-pruning: %w", err)
 		}
 		p.explorer = explorer
-		p.cacheGen.Add(1)
 		// The quiesce barrier holds (no execution in flight), so the
 		// shared subsumption table can be flushed directly.
 		if p.sub != nil {

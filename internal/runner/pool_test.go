@@ -239,7 +239,7 @@ func TestParallelWorkerSetupFailure(t *testing.T) {
 func referenceRun(t *testing.T, s Scenario, cfg Config) ([]byte, *Result) {
 	t.Helper()
 	if cfg.Mode == ModeFuzz || cfg.Faults != nil || cfg.Journal != nil || cfg.Store != nil ||
-		cfg.ConstraintPoll != nil || cfg.PrefixCacheBytes > 0 || cfg.SubsumptionTable > 0 || cfg.LiveWorkers > 0 {
+		cfg.ConstraintPoll != nil || cfg.SubsumptionTable > 0 || cfg.LiveWorkers > 0 {
 		t.Fatal("referenceRun models plain replay only")
 	}
 	if cfg.Mode == "" {

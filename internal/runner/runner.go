@@ -117,8 +117,8 @@ type Outcome struct {
 	// Converged reports whether all replicas ended with equal fingerprints.
 	Converged bool
 	// FaultArmed reports that the fault schedule armed at least one fault
-	// for this execution. Fault-armed replays bypass the prefix cache (a
-	// crash or truncation makes cached prefix states wrong) and, in
+	// for this execution. Fault-armed replays bypass state subsumption (a
+	// crash or truncation makes the hashed context wrong) and, in
 	// ModeFuzz, the corpus feedback batch — their signatures reflect the
 	// fault schedule, not the order mutation, so they must not steer the
 	// corpus.
@@ -250,18 +250,13 @@ type Config struct {
 	// ModeRand/ModeFuzz explorations want. See exploredSet for the full
 	// trade-off.
 	MaxExploredKeys int
-	// PrefixCacheBytes, when > 0, enables incremental replay: each worker
-	// keeps a private bounded trie of mid-run cluster snapshots keyed by
-	// executed event-prefix, restores the deepest cached prefix of every
-	// interleaving, and replays only the suffix (DESIGN.md §4.9). The
-	// value bounds the cached snapshot bytes of the whole run: it is split
-	// evenly across the workers (at least 1 byte each). Strictly an
-	// accelerator: results are byte-identical with the cache on or off,
-	// and fault-carrying interleavings always fall back to a clean
-	// genesis replay. Zero disables the cache.
+	// PrefixCacheBytes once sized the prefix cache. Every execution now
+	// resets to the genesis checkpoint and replays from event 0.
+	//
+	// Deprecated: ignored; the prefix cache was removed (DESIGN.md §4.9).
 	PrefixCacheBytes int64
 	// SubsumptionTable, when > 0, enables DPOR-style state subsumption
-	// (DESIGN.md §4.12): at snapshot depths the executor hashes the
+	// (DESIGN.md §4.12): every 4 events the executor hashes the
 	// canonical execution context and skips the rest of any interleaving
 	// whose (state-hash, remaining-event-multiset) frontier was already
 	// visited via a lexicographically smaller prefix — the skipped
@@ -300,13 +295,12 @@ type Config struct {
 // DefaultMaxInterleavings is the paper's exploration cap.
 const DefaultMaxInterleavings = 10000
 
-// defaultPrefixSnapshotEvery is the executor's snapshot stride in events:
-// besides the divergence and pivot depths, a snapshot (prefix cache) or
-// frontier check (subsumption) happens every K events. Lexicographic
-// neighbors differ in their last ~e≈2.7 positions on average, so a stride
-// of 4 keeps a usable restore point near the tail of every prefix without
-// snapshotting after every event.
-const defaultPrefixSnapshotEvery = 4
+// subsumeEvery is the executor's frontier-check stride in events: with
+// SubsumptionTable > 0, the execution context is hashed and looked up
+// every K events. Lexicographic neighbors differ in their last ~e≈2.7
+// positions on average, so a stride of 4 catches shared frontiers near
+// the tail of most prefixes without hashing after every event.
+const subsumeEvery = 4
 
 // Result summarizes one exploration run.
 type Result struct {
@@ -533,9 +527,9 @@ func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
 type attemptFunc func(ctx context.Context, item workItem) (*Outcome, error)
 
 // executeAttempt performs one checkpointed execution attempt: run the
-// interleaving (under the per-interleaving timeout, when configured;
-// execute itself restores the cluster from a cached prefix or the genesis
-// checkpoint), finalize, and recompute the outcome's post-finalize fields.
+// interleaving from the genesis checkpoint (under the per-interleaving
+// timeout, when configured), finalize, and recompute the outcome's
+// post-finalize fields.
 func executeAttempt(ctx context.Context, exec *executor, s Scenario, cfg Config, il interleave.Interleaving, index int) (*Outcome, error) {
 	ctx, cancel := attemptContext(ctx, cfg)
 	defer cancel()
@@ -664,16 +658,6 @@ func newSubsumption(cfg Config) *subsumeTable {
 
 func subsumableMode(m Mode) bool { return m == ModeERPi || m == ModeDFS }
 
-// pivotOf asks the explorer where its next yield will diverge from the
-// one just pulled (-1 when the explorer cannot predict), so the prefix
-// cache can snapshot exactly where the next lookup lands.
-func pivotOf(e interleave.Explorer) int {
-	if p, ok := e.(interleave.PivotExplorer); ok {
-		return p.NextPivot()
-	}
-	return -1
-}
-
 // feedbackExplorer is implemented by coverage-guided explorers that want
 // the behaviour signature of each executed interleaving, delivered
 // positionally (oldest unclassified emission first). The engines prefer
@@ -711,7 +695,7 @@ type generationExplorer interface {
 // reportFeedback classifies one executed interleaving's outcome with the
 // explorer. Generation explorers get key-addressed classification —
 // fault-armed executions are dropped from the corpus feedback, mirroring
-// their prefix-cache bypass — and legacy feedback explorers get the
+// their subsumption bypass — and legacy feedback explorers get the
 // positional Report.
 func reportFeedback(explorer interleave.Explorer, il interleave.Interleaving, o *Outcome) {
 	if ge, ok := explorer.(generationExplorer); ok {

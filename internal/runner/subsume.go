@@ -22,7 +22,7 @@ import (
 var ErrSubsumed = errors.New("runner: interleaving subsumed by visited state")
 
 // subsumeStripes is the lock-stripe count of the shared frontier table.
-// The table is hit by every pool worker at every snapshot depth; striping
+// The table is hit by every pool worker at every frontier check; striping
 // by a context-hash byte keeps Workers ≥ 8 off a single global mutex.
 // Power of two so the stripe index is a mask.
 const subsumeStripes = 32
@@ -31,20 +31,20 @@ const subsumeStripes = 32
 // state subsumption (DESIGN.md §4.12). A key is the pair
 // (execution-context hash, remaining-event-multiset digest); the entry
 // remembers the lexicographically smallest ordered prefix seen reaching
-// that frontier. The executor consults it at snapshot depths: when the
-// current prefix is lexicographically GREATER than the recorded one the
-// rest of the interleaving is skipped — every permutation of the
+// that frontier. The executor consults it every subsumeEvery events:
+// when the current prefix is lexicographically GREATER than the recorded
+// one the rest of the interleaving is skipped — every permutation of the
 // remaining events from an identical execution context yields an outcome
 // some lexicographically smaller interleaving already produced (the
 // strict ordering is what makes witness chains terminate; see §4.12 for
 // the argument, including out-of-order pool recording).
 //
-// Unlike the prefix cache, one table is shared by every worker of a run —
-// a frontier visited by any worker prunes all of them — so all methods
-// are safe for concurrent use. Entries are sharded into stripes keyed by
-// the context hash's first byte; byte accounting and the insertion tick
-// are global atomics, and eviction scans all stripes for the globally
-// oldest entry (FIFO, same order a single-map table evicted in).
+// One table is shared by every worker of a run — a frontier visited by
+// any worker prunes all of them — so all methods are safe for concurrent
+// use. Entries are sharded into stripes keyed by the context hash's
+// first byte; byte accounting and the insertion tick are global atomics,
+// and eviction scans all stripes for the globally oldest entry (FIFO,
+// same order a single-map table evicted in).
 type subsumeTable struct {
 	budget int64 // max accounted bytes (> 0)
 	bytes  atomic.Int64
@@ -86,7 +86,7 @@ func (t *subsumeTable) stripeFor(key subsumeKey) *subsumeStripe {
 	return &t.stripes[key.ctx[0]&(subsumeStripes-1)]
 }
 
-// visit is the one-shot check-and-record at a snapshot depth. It returns
+// visit is the one-shot check-and-record at a checked depth. It returns
 // skip=true when a recorded prefix for the same frontier is strictly
 // lexicographically smaller than the current one — the caller abandons
 // the interleaving with ErrSubsumed. Otherwise the frontier is recorded
@@ -105,8 +105,8 @@ func (t *subsumeTable) visit(ctx [sha256.Size]byte, rem msetDigest, prefix inter
 		case -1:
 			return true, 0
 		case 0:
-			// Our own recording pass (or a prefix-cache replay of the same
-			// literal prefix): never self-subsume.
+			// Our own recording pass (or a later interleaving replaying the
+			// same literal prefix from genesis): never self-subsume.
 			return false, 0
 		default:
 			// Current prefix is the smaller reacher: adopt it so future
@@ -178,8 +178,8 @@ func (t *subsumeTable) evictOldest() int64 {
 	}
 }
 
-// invalidate discards every entry (the re-pruning boundary, mirroring the
-// prefix cache) and returns the bytes freed. Called at quiesce barriers
+// invalidate discards every entry (the re-pruning boundary) and returns
+// the bytes freed. Called at quiesce barriers
 // only, so the stripe-at-a-time sweep is not racing inserts that matter.
 func (t *subsumeTable) invalidate() int64 {
 	var freed int64
@@ -232,7 +232,7 @@ func lexCompare(a []event.ID, b interleave.Interleaving) int {
 // words, and a multiset's digest is the component-wise sum mod 2^64 of
 // its members' contributions. Addition commutes, so the executor keeps a
 // rolling digest updated O(1) per executed event instead of re-sorting
-// and re-hashing the prefix at every snapshot depth; collision resistance
+// and re-hashing the prefix at every checked depth; collision resistance
 // is the standard MSet-Add-Hash argument (finding a colliding multiset
 // means solving a random subset-sum over 256 bits).
 type msetDigest [4]uint64
@@ -284,12 +284,11 @@ var ctxScratchPool = sync.Pool{New: func() any { return new(ctxScratch) }}
 // contextHash digests the full execution context after a prefix: the
 // canonical cluster snapshot plus everything else the remaining suffix
 // can observe — captured sync payloads, recorded observations, and failed
-// ops (exactly the prefixSnapshot capture set; DroppedSyncs are absent
-// because fault-armed interleavings bypass subsumption). The cluster
-// enters via its hash-of-hashes encoding (32 bytes per replica, served
-// from the per-replica caches) rather than its full serialization; each
-// section is length-prefixed and sorted so the digest is injective over
-// contexts.
+// ops (DroppedSyncs are absent because fault-armed interleavings bypass
+// subsumption). The cluster enters via its hash-of-hashes encoding (32
+// bytes per replica, served from the per-replica caches) rather than its
+// full serialization; each section is length-prefixed and sorted so the
+// digest is injective over contexts.
 func contextHash(states *replica.ClusterSnapshot, pending map[event.ID][]byte, obs map[event.ID]string, failed []event.ID) [sha256.Size]byte {
 	sc := ctxScratchPool.Get().(*ctxScratch)
 	b := sc.buf[:0]

@@ -167,22 +167,60 @@ func TestSubsumptionSequentialDeterminism(t *testing.T) {
 	}
 }
 
-// TestSubsumptionWithPrefixCache: the two accelerators compose — cache
-// snapshot depths double as subsumption checkpoints — without changing
-// the behavior set.
-func TestSubsumptionWithPrefixCache(t *testing.T) {
-	s := townReportScenario(t)
-	base, _ := signatureSet(t, s, Config{Mode: ModeERPi})
-	both, res := signatureSet(t, s, Config{
-		Mode:             ModeERPi,
-		SubsumptionTable: testSubTable,
-		PrefixCacheBytes: 1 << 20,
-	})
-	if strings.Join(base, "\n") != strings.Join(both, "\n") {
-		t.Fatal("subsumption + prefix cache changed the behavior set")
+// TestPrefixCacheBytesIgnored: the deprecated PrefixCacheBytes field is
+// inert. With subsumption on at Workers 1 (a deterministic skip set),
+// setting it leaves the outcome stream byte-identical and Explored and
+// Subsumed unchanged, and the run records no prefix-cache metric and no
+// span of the retired restore stage.
+func TestPrefixCacheBytesIgnored(t *testing.T) {
+	run := func(cacheBytes int64) ([]byte, *Result, *telemetry.Registry) {
+		reg := telemetry.New()
+		raw, res := collectOutcomes(t, townReportScenario(t), Config{
+			Mode:             ModeERPi,
+			Workers:          1,
+			SubsumptionTable: testSubTable,
+			PrefixCacheBytes: cacheBytes,
+			Telemetry:        reg,
+		})
+		return raw, res, reg
 	}
-	if res.Subsumed == 0 {
-		t.Fatal("no subsumption happened with the cache supplying snapshot depths")
+	plain, plainRes, _ := run(0)
+	set, setRes, reg := run(1 << 20)
+	if string(plain) != string(set) {
+		t.Fatal("PrefixCacheBytes changed the outcome stream")
+	}
+	if plainRes.Explored != setRes.Explored || plainRes.Subsumed != setRes.Subsumed {
+		t.Fatalf("explored/subsumed %d/%d without PrefixCacheBytes, %d/%d with it",
+			plainRes.Explored, plainRes.Subsumed, setRes.Explored, setRes.Subsumed)
+	}
+	if setRes.Subsumed == 0 {
+		t.Fatal("nothing subsumed: the pin compares no frontier checks")
+	}
+	snap := reg.Snapshot()
+	var names []string
+	for name := range snap.Counters {
+		names = append(names, name)
+	}
+	for name := range snap.Gauges {
+		names = append(names, name)
+	}
+	for name := range snap.Histograms {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		if strings.HasPrefix(name, "runner.prefix_") || name == "runner.snapshot_bytes" ||
+			name == "runner.events_skipped" || strings.HasPrefix(name, "stage.restore-prefix") {
+			t.Errorf("prefix-cache metric %s still registered", name)
+		}
+	}
+	spans := reg.Tracer().Spans()
+	if len(spans) == 0 {
+		t.Fatal("no spans recorded")
+	}
+	for _, sp := range spans {
+		if sp.Stage.String() == "unknown" {
+			t.Fatalf("span of an unnamed stage %d recorded", sp.Stage)
+		}
 	}
 }
 

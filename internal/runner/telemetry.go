@@ -20,18 +20,11 @@ import (
 //	runner.retries             execution attempts beyond the first
 //	runner.quarantined         interleavings that failed all retries
 //	runner.violations          assertion failures
-//	runner.prefix_cache_hits   executions resumed from a cached prefix snapshot
-//	runner.prefix_cache_misses cache-enabled executions replayed from genesis
-//	runner.prefix_evictions    snapshots evicted by the LRU byte budget
 //	runner.subsumed_interleavings  interleavings skipped by state subsumption
 //	runner.subsumption_table_bytes bytes held by the subsumption table (gauge)
-//	runner.events_executed     events actually replayed
-//	runner.events_skipped      events skipped via prefix restore
-//	runner.snapshot_bytes      bytes currently held by prefix caches (gauge)
-//	runner.prefix_delta_bytes  deduplicated state bytes charged by prefix caches (gauge)
+//	runner.events_executed     events replayed (from genesis, up to a subsumption skip)
 //	snapshot.dirty_replicas    replicas re-serialized by canonical snapshots
 //	snapshot.bytes_reused      snapshot bytes served from per-replica caches
-//	runner.prefix_hit_depth    restored prefix depths (histogram, in events)
 //	fuzz.generations           completed ModeFuzz corpus generations
 //	fuzz.corpus_size           behaviour-novel interleavings in the corpus (gauge)
 //	fuzz.novelty_rate_permille last generation's novel fraction × 1000 (gauge)
@@ -51,27 +44,16 @@ type runTelemetry struct {
 	violations     *telemetry.Counter
 	fsyncBatches   *telemetry.Counter
 	fsyncKeys      *telemetry.Counter
-	prefixHits     *telemetry.Counter
-	prefixMisses   *telemetry.Counter
-	prefixEvicted  *telemetry.Counter
 	eventsExecuted *telemetry.Counter
-	eventsSkipped  *telemetry.Counter
-	snapshotBytes  *telemetry.Gauge
-	prefixDelta    *telemetry.Gauge
 	dirtyReplicas  *telemetry.Counter
 	bytesReused    *telemetry.Counter
 	subsumed       *telemetry.Counter
 	subsumeBytes   *telemetry.Gauge
-	hitDepth       *telemetry.Histogram
 	liveSessions   *telemetry.Gauge
 	fuzzGens       *telemetry.Counter
 	fuzzCorpus     *telemetry.Gauge
 	fuzzNovelty    *telemetry.Gauge
 }
-
-// prefixDepthBounds buckets the prefix-hit-depth histogram by restored
-// depth in events (not nanoseconds).
-var prefixDepthBounds = []int64{1, 2, 4, 6, 8, 12, 16, 20, 24, 32, 48, 64}
 
 func newRunTelemetry(reg *telemetry.Registry) *runTelemetry {
 	if reg == nil {
@@ -86,18 +68,11 @@ func newRunTelemetry(reg *telemetry.Registry) *runTelemetry {
 		violations:     reg.Counter("runner.violations"),
 		fsyncBatches:   reg.Counter("journal.fsync_batches"),
 		fsyncKeys:      reg.Counter("journal.fsync_keys"),
-		prefixHits:     reg.Counter("runner.prefix_cache_hits"),
-		prefixMisses:   reg.Counter("runner.prefix_cache_misses"),
-		prefixEvicted:  reg.Counter("runner.prefix_evictions"),
 		eventsExecuted: reg.Counter("runner.events_executed"),
-		eventsSkipped:  reg.Counter("runner.events_skipped"),
-		snapshotBytes:  reg.Gauge("runner.snapshot_bytes"),
-		prefixDelta:    reg.Gauge("runner.prefix_delta_bytes"),
 		dirtyReplicas:  reg.Counter("snapshot.dirty_replicas"),
 		bytesReused:    reg.Counter("snapshot.bytes_reused"),
 		subsumed:       reg.Counter("runner.subsumed_interleavings"),
 		subsumeBytes:   reg.Gauge("runner.subsumption_table_bytes"),
-		hitDepth:       reg.HistogramWithBounds("runner.prefix_hit_depth", prefixDepthBounds),
 		liveSessions:   reg.Gauge("live.sessions"),
 		fuzzGens:       reg.Counter("fuzz.generations"),
 		fuzzCorpus:     reg.Gauge("fuzz.corpus_size"),
@@ -211,25 +186,6 @@ func (t *runTelemetry) onFuzzGeneration(generations, corpus int, rate float64) {
 	t.reg.Progress().SetFuzz(int64(generations), int64(corpus), permille)
 }
 
-// onPrefixHit counts one execution resumed from a cached prefix of the
-// given depth.
-func (t *runTelemetry) onPrefixHit(depth int) {
-	if t == nil {
-		return
-	}
-	t.prefixHits.Inc()
-	t.hitDepth.Observe(int64(depth))
-}
-
-// onPrefixMiss counts one cache-enabled execution that replayed from the
-// genesis checkpoint.
-func (t *runTelemetry) onPrefixMiss() {
-	if t == nil {
-		return
-	}
-	t.prefixMisses.Inc()
-}
-
 // onSubsumed counts one interleaving skipped by state subsumption.
 func (t *runTelemetry) onSubsumed() {
 	if t == nil {
@@ -247,32 +203,12 @@ func (t *runTelemetry) onSubsumeBytes(delta int64) {
 	t.subsumeBytes.Add(delta)
 }
 
-// onEvents accounts one execution's replayed vs. prefix-skipped events.
-func (t *runTelemetry) onEvents(executed, skipped int) {
+// onEvents accounts one execution's replayed events.
+func (t *runTelemetry) onEvents(executed int) {
 	if t == nil {
 		return
 	}
 	t.eventsExecuted.Add(int64(executed))
-	t.eventsSkipped.Add(int64(skipped))
-}
-
-// onSnapshot applies one cache operation's byte delta (insertions are
-// positive, evictions and invalidations negative) and eviction count.
-func (t *runTelemetry) onSnapshot(deltaBytes int64, evicted int) {
-	if t == nil {
-		return
-	}
-	t.snapshotBytes.Add(deltaBytes)
-	t.prefixEvicted.Add(int64(evicted))
-}
-
-// onPrefixDeltaBytes applies one cache operation's change in charged
-// deduplicated state bytes (the delta-snapshot footprint).
-func (t *runTelemetry) onPrefixDeltaBytes(delta int64) {
-	if t == nil || delta == 0 {
-		return
-	}
-	t.prefixDelta.Add(delta)
 }
 
 // onSnapshotWork accounts one CanonicalSnapshot call: how many replicas

@@ -294,8 +294,8 @@ func decodeRecords(payload []byte) ([]syncRecord, error) {
 // form it carries the per-record Arrival order and the arrival counter:
 // the seeded arrival-order and map-order defects read them, so a
 // checkpoint that dropped them would change behavior across a
-// Restore(Snapshot()) round trip (the fidelity the prefix cache relies
-// on — see replica.State).
+// Restore(Snapshot()) round trip (the fidelity checkpoint resets and
+// state subsumption rely on — see replica.State).
 type storeSnapshot struct {
 	Keys    map[string]map[string]*record `json:"keys"`
 	Arrival int                           `json:"arrival"`

@@ -35,10 +35,11 @@ const (
 	// StageQuiesce is the pool draining in-flight work at a ConstraintPoll
 	// barrier (the visible bubble in the pipeline).
 	StageQuiesce
-	// StageRestorePrefix is restoring the cluster from a prefix-cache
-	// snapshot (or falling back to the genesis checkpoint on a miss)
-	// before a suffix execution.
-	StageRestorePrefix
+	// This slot was the prefix-cache restore stage (DESIGN.md §4.9,
+	// removed). It stays reserved: Span.Stage is serialized as an integer
+	// in federation reports and persisted forensic bundles, so renumbering
+	// the stages after it would mislabel spans written before the removal.
+	_
 	// StageLiveSetup is a live session coming up: minting the epoch's gate
 	// namespace and arming the replicas' interceptors.
 	StageLiveSetup
@@ -67,7 +68,6 @@ var stageNames = [...]string{
 	StageAssert:          "assert",
 	StageJournalFsync:    "journal-fsync",
 	StageQuiesce:         "quiesce",
-	StageRestorePrefix:   "restore-prefix",
 	StageLiveSetup:       "live-setup",
 	StageLease:           "lease",
 	StageRangeCommit:     "range-commit",

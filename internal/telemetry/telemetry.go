@@ -264,7 +264,9 @@ func NewWithCapacity(spanCapacity int) *Registry {
 		progress: &Progress{},
 	}
 	for st := Stage(1); st <= stageMax; st++ {
-		r.stage[st] = r.Histogram("stage." + st.String() + "_ns")
+		if stageNames[st] != "" { // skip the reserved slot
+			r.stage[st] = r.Histogram("stage." + st.String() + "_ns")
+		}
 	}
 	return r
 }
